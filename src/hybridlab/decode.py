@@ -29,14 +29,13 @@ import numpy as np
 
 from .attention import repeat_kv_heads
 from .config import ModelConfig
+from .costs import CACHE_BYTES_PER_ELEMENT
 from .hybrid import fuse_branches, ssm_branch_prefill, ssm_branch_step
 from .layout import LayoutSpec
 from .model import Block, HybridModel
 from .nn import RopeConfig, apply_rope, rms_norm
 from .ssm import SsmState, ssm_prefill, ssm_step
 from .tensor import ContractError, Tensor, matmul, no_grad, softmax_lastdim
-
-CACHE_BYTES_PER_ELEMENT = 2
 
 
 # ---------------------------------------------------------------------------

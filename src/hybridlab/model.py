@@ -133,15 +133,6 @@ class HybridModel:
         x = rms_norm(x, self.final_norm)
         return matmul(x, self.head)
 
-    def hidden_states(self, tokens: np.ndarray) -> Tensor:
-        """Final pre-head hidden states (batch, seq, d_model)."""
-        tokens = np.asarray(tokens)
-        positions = np.arange(tokens.shape[1])
-        x = embedding_lookup(self.embed, tokens)
-        for block in self.blocks:
-            x = block.forward(x, positions)
-        return rms_norm(x, self.final_norm)
-
     def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {"embed.weight": self.embed}
         for i, block in enumerate(self.blocks):
@@ -157,9 +148,6 @@ class HybridModel:
             if block.moe_state is not None:
                 out[f"blocks.{i}.moe.expert_bias"] = block.moe_state.expert_bias
         return out
-
-    def param_count(self) -> int:
-        return sum(t.size for t in self.parameters().values())
 
     def update_moe_balance(self) -> None:
         for block in self.blocks:

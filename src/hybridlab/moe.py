@@ -9,10 +9,10 @@ rule on observed batch loads and receives no gradient.
 
 Experts (shared and routed alike) are half-width relative to the dense
 FFN they replace, so shared + one routed expert costs the same as the
-dense layer it stands in for. Expert evaluation below is dense-masked
-(every expert with traffic runs on the full token batch and is masked
-to its own tokens); the values are exactly those of subset dispatch,
-which is the accounting the cost model uses.
+dense layer it stands in for. Dispatch is by subset: tokens are sorted
+by their selected expert, each expert with traffic runs on its own
+contiguous rows only, and the results are put back in token order, so
+a layer computes the 1 + 1 expert rows per token the cost model charges.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import proj_init, siglu_ffn
-from .tensor import ContractError, DimensionError, Tensor, matmul, sigmoid
+from .tensor import ContractError, DimensionError, Tensor, concat, matmul, sigmoid
 
 BALANCE_RATE = 1e-3
 
@@ -115,24 +115,26 @@ def moe_forward(
     selected = route(scores.data, state.expert_bias)                # (T,)
     gates = scores[np.arange(tokens), selected].reshape(tokens, 1)  # (T, 1)
 
-    out = siglu_ffn(
+    shared = siglu_ffn(
         xf,
         weights[f"{prefix}.shared.gate"],
         weights[f"{prefix}.shared.up"],
         weights[f"{prefix}.shared.down"],
     )
-    for e in range(cfg.n_experts):
-        picked = selected == e
-        if not picked.any():
-            continue
-        indicator = Tensor(picked[:, None].astype(np.float64))
-        ye = siglu_ffn(
-            xf,
+    loads = np.bincount(selected, minlength=cfg.n_experts)
+    order = np.argsort(selected, kind="stable")                     # token ids grouped by expert
+    xs = xf[order]
+    starts = np.concatenate(([0], np.cumsum(loads)))
+    parts = [
+        siglu_ffn(
+            xs[starts[e] : starts[e + 1]],
             weights[f"{prefix}.expert{e}.gate"],
             weights[f"{prefix}.expert{e}.up"],
             weights[f"{prefix}.expert{e}.down"],
         )
-        out = out + ye * (gates * indicator)
-
-    loads = np.bincount(selected, minlength=cfg.n_experts)
+        for e in range(cfg.n_experts)
+        if loads[e]
+    ]
+    routed = concat(parts, axis=0)[np.argsort(order)]               # back to token order
+    out = shared + gates * routed
     return out.reshape(b, l, d), loads

@@ -10,6 +10,9 @@ desk-scale clarity and exact reproducibility, not throughput:
   node to a flat tape in execution order, which is already a valid
   topological order, so ``backward`` is a single reverse sweep that
   touches each reachable node exactly once;
+* ``backward`` keeps ``.grad`` on leaves only (tensors no op produced,
+  such as parameters), and ``reset_tape`` cuts the recorded graph's links
+  so reference counting frees it at once;
 * any op whose output contains a non-finite value raises immediately
   (``NonFiniteError``) instead of letting NaNs propagate silently;
 * randomness comes only from counter-based generators keyed by an
@@ -57,10 +60,6 @@ def set_default_dtype(kind: str) -> None:
     if kind not in _DTYPES:
         raise ContractError(f"unknown precision {kind!r}; expected 'single' or 'double'")
     _default_dtype = _DTYPES[kind]
-
-
-def get_default_dtype() -> np.dtype:
-    return np.dtype(_default_dtype)
 
 
 @contextmanager
@@ -121,6 +120,16 @@ class GradTape:
         self.nodes.append(node)
 
     def reset(self) -> None:
+        """Forget the recorded ops and free their graph.
+
+        Cutting each node's links breaks the out <-> node cycle, so
+        reference counting frees every op output now, even while a caller
+        still holds the last loss, instead of leaving it to the cyclic GC.
+        """
+        for node in self.nodes:
+            node.out = None
+            node.inputs = ()
+            node.backward = None
         self.nodes.clear()
 
 
@@ -356,13 +365,10 @@ def square(a) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # evaluate on the safe side of each branch to avoid overflow in exp
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; x >= 0 gives 1 / (1 + e^-x) and x < 0 gives
+    # e^x / (1 + e^x), the same two branches without boolean-mask indexing
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a) -> Tensor:
@@ -477,13 +483,6 @@ def swapaxes(a, ax1: int, ax2: int) -> Tensor:
     a = as_tensor(a)
     out = a.data.swapaxes(ax1, ax2)
     return _make("swapaxes", out, (a,), lambda g: (g.swapaxes(ax1, ax2),))
-
-
-def transpose(a, axes) -> Tensor:
-    a = as_tensor(a)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _make("transpose", a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
 def getitem(a, index) -> Tensor:
@@ -641,10 +640,13 @@ def embedding_lookup(weight, ids: np.ndarray) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate dLoss/dT into `.grad` of every reachable tensor.
+    """Accumulate dLoss/dT into `.grad` of every reachable leaf tensor.
 
     `loss` must be scalar. One reverse sweep over the tape; each node
-    reachable from the loss is applied exactly once.
+    reachable from the loss is applied exactly once. Only leaves (tensors
+    with no tape node, such as parameters) keep a `.grad`; an intermediate
+    gradient is dropped as soon as the sweep has passed its node.
+    `reset_tape` then frees the graph itself.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -671,8 +673,6 @@ def backward(loss: Tensor) -> None:
         g_out = grads.pop(id(node.out), None)
         if g_out is None:
             continue
-        if node.out.requires_grad:
-            node.out.grad = g_out if node.out.grad is None else node.out.grad + g_out
         input_grads = node.backward(g_out)
         for t, g in zip(node.inputs, input_grads):
             if g is None or not t.requires_grad:

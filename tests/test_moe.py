@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gradcheck import fd_grad_check
+from hybridlab import moe
 from hybridlab.moe import (
     MoeConfig,
     RouterState,
@@ -11,7 +13,7 @@ from hybridlab.moe import (
     update_balance,
 )
 from hybridlab.nn import siglu_ffn
-from hybridlab.tensor import DimensionError, Tensor, named_rng, no_grad
+from hybridlab.tensor import DimensionError, Tensor, named_rng, no_grad, tsum
 
 TINY = MoeConfig(d_model=6, d_ffn_expert=8, n_experts=4)
 
@@ -132,3 +134,57 @@ def test_every_token_activates_exactly_one_routed_expert():
     with no_grad():
         _, loads = moe_forward(Tensor(x), weights, TINY, state)
     assert loads.sum() == 4 * 8
+
+
+def test_gradients_match_fd_and_idle_expert_gets_none():
+    rng = named_rng(0, "moe-grad")
+    weights = init_moe_params(TINY, rng)
+    state = RouterState.fresh(TINY.n_experts)
+    state.expert_bias = np.array([0.0, 0.0, 0.0, -100.0])  # expert 3 gets no token
+    x = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
+    probe = rng.normal(size=(2, 5, 6))
+    with no_grad():
+        _, loads = moe_forward(x, weights, TINY, state)
+    assert loads[3] == 0 and (loads[:3] > 0).all()
+
+    def loss_fn():
+        out, _ = moe_forward(x, weights, TINY, state)
+        return tsum(out * probe)
+
+    busy = {k: w for k, w in weights.items() if not k.startswith("moe.expert3.")}
+    fd_grad_check(loss_fn, {"x": x, **busy}, rng, coords_per_tensor=4)
+    for part in ("gate", "up", "down"):
+        assert weights[f"moe.expert3.{part}"].grad is None
+
+
+def test_each_expert_sees_only_its_own_rows(monkeypatch):
+    rng = named_rng(0, "moe-rows")
+    weights = init_moe_params(TINY, rng)
+    state = RouterState.fresh(TINY.n_experts)
+    x = Tensor(rng.normal(size=(3, 7, 6)))
+    fed = {}
+
+    def spy(rows, gate, up, down):
+        fed[next(k for k, w in weights.items() if w is gate)] = rows.shape[0]
+        return siglu_ffn(rows, gate, up, down)
+
+    monkeypatch.setattr(moe, "siglu_ffn", spy)
+    with no_grad():
+        out, loads = moe_forward(x, weights, TINY, state)
+    tokens = 3 * 7
+    assert fed.pop("moe.shared.gate") == tokens
+    assert fed == {f"moe.expert{e}.gate": int(n) for e, n in enumerate(loads) if n}
+    assert sum(fed.values()) == tokens
+
+    # each token's row comes back to its own place: a one-token-at-a-time oracle
+    xf = x.data.reshape(tokens, 6)
+    with no_grad():
+        scores = 1.0 / (1.0 + np.exp(-(xf @ weights["moe.router"].data)))
+        picked = route(scores, state.expert_bias)
+        for t in range(tokens):
+            row = Tensor(xf[t : t + 1])
+            want = siglu_ffn(row, *(weights[f"moe.shared.{p}"] for p in ("gate", "up", "down"))).data[0]
+            e = picked[t]
+            ye = siglu_ffn(row, *(weights[f"moe.expert{e}.{p}"] for p in ("gate", "up", "down"))).data[0]
+            want = want + scores[t, e] * ye
+            assert np.abs(out.data.reshape(tokens, 6)[t] - want).max() < 1e-12

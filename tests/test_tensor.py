@@ -1,7 +1,14 @@
+import gc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gradcheck import fd_grad_check
+from hybridlab.config import preset, with_vocab
+from hybridlab.harness import masked_next_token_loss
+from hybridlab.layout import LayoutSpec
+from hybridlab.model import HybridModel
 from hybridlab.tensor import (
     DimensionError,
     NonFiniteError,
@@ -19,8 +26,10 @@ from hybridlab.tensor import (
     pad_front,
     reset_tape,
     set_chaos,
+    sigmoid,
     silu,
     softmax_lastdim,
+    softplus,
     tmean,
     tsum,
 )
@@ -161,3 +170,66 @@ def test_no_grad_leaves_no_tape_nodes():
     backward(tsum(x * 2.0))  # a fresh graph still works afterwards
     assert np.allclose(x.grad, 2.0)
     reset_tape()
+
+
+def test_backward_keeps_grads_on_leaves_only():
+    a = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+    b = Tensor(np.array([0.3, 0.7, -1.5]), requires_grad=True)
+    prod = a * b
+    hidden = exp(prod)
+    loss = tsum(hidden)
+    backward(loss)
+    assert prod.grad is None and hidden.grad is None and loss.grad is None
+    e = np.exp(a.data * b.data)
+    np.testing.assert_array_equal(a.grad, e * b.data)
+    np.testing.assert_array_equal(b.grad, e * a.data)
+    reset_tape()
+
+
+@pytest.mark.parametrize("name", ["toy-inter", "toy-intra"])
+def test_reset_tape_leaves_no_cyclic_garbage(name):
+    cfg, layout = preset(name)
+    if name == "toy-inter":
+        layout = LayoutSpec(tuple(replace(b, moe=True) for b in layout.blocks))
+    model = HybridModel(with_vocab(cfg, 32), layout, seed=0)
+    tokens = named_rng(0, "gc-tokens").integers(0, 32, size=(2, 12))
+    gc.collect()
+    gc.disable()
+    try:
+        loss = masked_next_token_loss(model, tokens, None)
+        backward(loss)
+        reset_tape()
+        del loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _two_branch_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_activations_match_the_two_branch_sigmoid_bytewise():
+    edges = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 30.0, -30.0, 800.0, -800.0]
+    x = np.concatenate([edges, named_rng(0, "sigmoid").normal(size=64) * 3.0])
+    # exp(-800) underflowing to 0 is the exact answer in both forms; any
+    # overflow, division by zero or invalid value still raises
+    with np.errstate(all="raise", under="ignore"):
+        s = _two_branch_sigmoid(x)
+        want = {
+            sigmoid: (s, s * (1.0 - s)),
+            silu: (x * s, s * (1.0 + x * (1.0 - s))),
+            softplus: (np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0), s),
+        }
+        for op, (value, grad) in want.items():
+            t = Tensor(x, requires_grad=True)
+            out = op(t)
+            backward(tsum(out))
+            assert out.data.tobytes() == value.tobytes(), op.__name__
+            assert t.grad.tobytes() == grad.tobytes(), op.__name__
+            reset_tape()
