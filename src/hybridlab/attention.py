@@ -3,8 +3,11 @@
 The windowed variant keeps a block of always-visible sink positions at
 the start of the sequence plus a sliding window of the most recent
 positions, so its state is bounded by window + sink entries no matter
-how long the sequence grows. Masks are plain boolean numpy arrays;
-masked lanes get exactly-zero attention weight.
+how long the sequence grows. Masks are plain boolean numpy arrays.
+The softmax itself is `tensor.attention_core`, one fused op that walks
+the queries in tiles of whole rows; masked lanes still get exactly-zero
+weight, now per query tile, and a tile scores no key past its last
+visible mask column.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import RopeConfig, apply_rope, proj_init
-from .tensor import ContractError, DimensionError, Tensor, masked_softmax_lastdim, matmul
+from .tensor import ContractError, DimensionError, Tensor, attention_core, matmul
 
 
 @dataclass(frozen=True)
@@ -73,19 +76,16 @@ def init_attn_params(cfg: AttnConfig, rng: np.random.Generator, prefix: str = "a
 
 
 def repeat_kv_heads(t: Tensor, group_size: int) -> Tensor:
-    """(B, L, n_kv, d) -> (B, L, n_kv * group_size, d), grouped order."""
+    """(B, L, n_kv, d) -> (B, L, n_kv * group_size, d), grouped order.
+
+    `attention_core` broadcasts KV heads over their group instead; this
+    explicit copy is the reference the kernel is checked against.
+    """
     if group_size == 1:
         return t
     b, l, kv, d = t.shape
     ones = Tensor(np.ones((1, 1, 1, group_size, 1)))
     return (t.reshape(b, l, kv, 1, d) * ones).reshape(b, l, kv * group_size, d)
-
-
-def attention_scores(q: Tensor, k: Tensor, mask: np.ndarray) -> Tensor:
-    """Masked softmax of scaled q @ k^T; q, k are (B, H, L, d_qk)."""
-    d_qk = q.shape[-1]
-    scores = matmul(q, k.swapaxes(-1, -2)) * (d_qk ** -0.5)
-    return masked_softmax_lastdim(scores, mask)
 
 
 def attention_context(
@@ -121,15 +121,12 @@ def attention_context(
 
     q = apply_rope(q, rope, positions)
     k = apply_rope(k, rope, positions)
-    k = repeat_kv_heads(k, cfg.group_size)
-    v = repeat_kv_heads(v, cfg.group_size)
 
     q = q.swapaxes(1, 2)                      # (B, H, L, d_qk)
-    k = k.swapaxes(1, 2)
-    v = v.swapaxes(1, 2)
+    k = k.swapaxes(1, 2)                      # (B, H_kv, L, d_qk)
+    v = v.swapaxes(1, 2)                      # (B, H_kv, L, d_v)
 
-    probs = attention_scores(q, k, mask)      # (B, H, L, L)
-    ctx = matmul(probs, v)                    # (B, H, L, d_v)
+    ctx = attention_core(q, k, v, mask)       # (B, H, L, d_v)
     return ctx.swapaxes(1, 2)                 # (B, L, H, d_v)
 
 

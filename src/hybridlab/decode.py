@@ -16,6 +16,10 @@ Cache shapes per block:
   mamba   conv ring (n_conv - 1 raw channel rows) + per-head SSM state
   intra   full KV for the attention half + SSM state for the other
 
+The one-token step and the full pass share one attention core,
+`tensor.attention_core`: the step calls it with a single query row and
+no mask, since every cached key is visible to it.
+
 `DecodeState.cache_bytes()` measures the live caches at 2 bytes per
 element (the in-flight conv row counts toward the ring, matching the
 closed-form accounting in `costs`).
@@ -27,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import repeat_kv_heads
 from .config import ModelConfig
 from .costs import CACHE_BYTES_PER_ELEMENT
 from .hybrid import fuse_branches, ssm_branch_prefill, ssm_branch_step
@@ -35,7 +38,7 @@ from .layout import LayoutSpec
 from .model import Block, HybridModel
 from .nn import RopeConfig, apply_rope, rms_norm
 from .ssm import SsmState, ssm_prefill, ssm_step
-from .tensor import ContractError, Tensor, matmul, no_grad, softmax_lastdim
+from .tensor import ContractError, Tensor, attention_core, matmul, no_grad
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +211,12 @@ def _attn_context_step(
     k_all, v_all, positions = cache.read()
     q = apply_rope(q, rope, np.array([position]))
     k_all = apply_rope(k_all, rope, positions)
-    k_all = repeat_kv_heads(k_all, cfg.group_size)
-    v_all = repeat_kv_heads(v_all, cfg.group_size)
 
     q = q.swapaxes(1, 2)                                  # (B, H, 1, d_qk)
-    k_all = k_all.swapaxes(1, 2)
+    k_all = k_all.swapaxes(1, 2)                          # (B, H_kv, n, d_qk)
     v_all = v_all.swapaxes(1, 2)
     # every cached entry is visible by construction, so no mask here
-    probs = softmax_lastdim(matmul(q, k_all.swapaxes(-1, -2)) * (cfg.d_qk ** -0.5))
-    return matmul(probs, v_all).swapaxes(1, 2)            # (B, 1, H, d_v)
+    return attention_core(q, k_all, v_all).swapaxes(1, 2)  # (B, 1, H, d_v)
 
 
 def _block_step(block: Block, cache: BlockCache, x_t: Tensor, position: int) -> Tensor:

@@ -167,15 +167,6 @@ def write_trace_csv(path: str, history, echo: dict | None = None) -> None:
     )
 
 
-def write_decode_trace_csv(path: str, trace, echo: dict | None = None) -> None:
-    write_csv(
-        path,
-        ["step", "ops", "state_bytes", "state_bytes_accounted"],
-        ([t.position, t.flops, t.cache_bytes_measured, t.cache_bytes_accounted] for t in trace),
-        echo,
-    )
-
-
 def write_niah_csv(path: str, grid, echo: dict | None = None) -> None:
     """Grid CSV: header row is the depths, first column the lengths."""
     columns = ["length"] + [repr(float(d)) for d in grid.depths]

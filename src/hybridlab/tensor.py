@@ -22,8 +22,12 @@ desk-scale clarity and exact reproducibility, not throughput:
 The op set is deliberately small: broadcasting arithmetic, batched
 matmul, reductions, cumsum, shape surgery, the handful of activations
 the models need, and fused softmax / masked-softmax / cross-entropy
-kernels with analytic backward rules. Gradients for broadcast operands
-are reduced back to the operand shape.
+kernels with analytic backward rules. The fused attention kernel
+(`attention_core`) takes grouped-head q, k, v and an optional mask and
+records one node: it walks the queries in fixed tiles, scores each tile
+only against keys up to its last visible column, and never holds the
+full (B, H, L, L) score matrix. Gradients for broadcast operands are
+reduced back to the operand shape.
 """
 
 from __future__ import annotations
@@ -574,6 +578,103 @@ def masked_softmax_lastdim(a, mask: np.ndarray) -> Tensor:
         return (out * (g - dot),)
 
     return _make("masked_softmax", out, (a,), bwd)
+
+
+# Query rows per attention tile. A tile holds whole score rows, so the plain
+# two-pass softmax stays exact; the size only bounds the scratch array.
+_ATTN_TILE = 64
+
+
+def attention_core(q, k, v, mask: np.ndarray | None = None) -> Tensor:
+    """Softmax attention softmax(q k^T / sqrt(d_qk)) v as one fused op.
+
+    q (B, H, Lq, d_qk), k (B, H_kv, Lk, d_qk), v (B, H_kv, Lk, d_v) ->
+    (B, H, Lq, d_v). Query head h reads KV head h // (H / H_kv), so
+    grouped heads share K/V without copying them. `mask` is a boolean
+    (Lq, Lk) array, True where a key is visible; None shows every key.
+    Every row must keep at least one visible key.
+
+    Queries are processed in tiles of whole rows. Each tile scores only
+    the keys up to its last visible mask column, so a causal mask skips
+    the upper triangle, and never more than one tile's scores exist at a
+    time; masked lanes get exactly-zero weight.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 4 or k.ndim != 4 or v.ndim != 4:
+        raise DimensionError(f"attention wants 4-d q, k, v, got {q.shape}, {k.shape}, {v.shape}")
+    b, h, lq, d_qk = q.shape
+    h_kv, lk, d_v = k.shape[1], k.shape[2], v.shape[3]
+    if k.shape[0] != b or v.shape[:3] != k.shape[:3] or k.shape[3] != d_qk:
+        raise DimensionError(f"attention q {q.shape}, k {k.shape}, v {v.shape} disagree")
+    if h_kv == 0 or h % h_kv != 0:
+        raise DimensionError(f"{h} query heads cannot share {h_kv} KV heads")
+    if lk == 0:
+        raise DimensionError("attention needs at least one key")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (lq, lk):
+            raise DimensionError(f"attention mask {mask.shape}, want {(lq, lk)}")
+        if not mask.any(axis=-1).all():
+            raise ContractError("attention mask row with no visible key")
+    g = h // h_kv
+    scale = d_qk ** -0.5
+    flip = _chaos_mode == "flip-sign"
+    keep = _tape.enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+
+    qs = q.data.reshape(b, h_kv, g, lq, d_qk) * scale
+    kt = k.data.swapaxes(-1, -2)
+    out = np.empty((b, h_kv, g, lq, d_v), dtype=np.result_type(q.data, k.data, v.data))
+    tiles = []                  # (start, stop, key end, probabilities) per tile
+    for start in range(0, lq, _ATTN_TILE):
+        stop = min(start + _ATTN_TILE, lq)
+        rows = stop - start
+        kend, hidden = lk, None
+        if mask is not None:
+            visible = mask[start:stop]
+            kend = int(np.flatnonzero(visible.any(axis=0))[-1]) + 1
+            if not visible[:, :kend].all():
+                hidden = ~visible[:, :kend]
+        # (B, H_kv, G * rows, d): the group's rows share one matmul per KV head
+        q_t = qs[..., start:stop, :].reshape(b, h_kv, g * rows, d_qk)
+        p = np.matmul(q_t, kt[..., :kend])
+        if flip:
+            np.negative(p, out=p)
+        if hidden is not None:
+            np.copyto(p.reshape(b, h_kv, g, rows, kend), -np.inf, where=hidden)
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)        # exp(-inf) underflows to exactly 0
+        p /= p.sum(axis=-1, keepdims=True)
+        o = np.matmul(p, v.data[:, :, :kend])
+        if flip:
+            np.negative(o, out=o)
+        out[..., start:stop, :] = o.reshape(b, h_kv, g, rows, d_v)
+        if keep:
+            tiles.append((start, stop, kend, p))
+    out = out.reshape(b, h, lq, d_v)
+
+    def bwd(grad):
+        g_out = grad.reshape(b, h_kv, g, lq, d_v)
+        o_all = out.reshape(b, h_kv, g, lq, d_v)
+        dq = np.empty_like(qs)
+        dk = np.zeros(k.shape, dtype=grad.dtype)
+        dv = np.zeros(v.shape, dtype=grad.dtype)
+        for start, stop, kend, p in tiles:
+            rows = stop - start
+            do = g_out[..., start:stop, :].reshape(b, h_kv, g * rows, d_v)
+            o = o_all[..., start:stop, :].reshape(b, h_kv, g * rows, d_v)
+            # P^T and dS^T contract over the group's rows, summing dK, dV over G
+            dv[:, :, :kend] += np.matmul(p.swapaxes(-1, -2), do)
+            ds = np.matmul(do, v.data[:, :, :kend].swapaxes(-1, -2))
+            ds -= (do * o).sum(axis=-1, keepdims=True)
+            ds *= p
+            dq[..., start:stop, :] = np.matmul(ds, k.data[:, :, :kend]).reshape(
+                b, h_kv, g, rows, d_qk
+            )
+            q_t = qs[..., start:stop, :].reshape(b, h_kv, g * rows, d_qk)
+            dk[:, :, :kend] += np.matmul(ds.swapaxes(-1, -2), q_t)
+        return (dq * scale).reshape(q.shape), dk, dv
+
+    return _make("attention", out, (q, k, v), bwd)
 
 
 def cross_entropy_logits(logits, targets: np.ndarray, position_mask: np.ndarray | None = None) -> Tensor:

@@ -172,8 +172,37 @@ def _suite_attention() -> list[PropertyResult]:
         err = abs(dots[0] - dots[1])
         return err < 1e-10, f"shift invariance err {err:.1e}"
 
+    def fused_kernel_equals_composed():
+        from .attention import attention_context, causal_mask, repeat_kv_heads
+        from .nn import apply_rope
+        from .tensor import masked_softmax_lastdim, matmul
+
+        cfg, rope, weights = _toy_attn()
+        seq = 131                              # three query tiles of the kernel
+        x = Tensor(named_rng(11, "verify-attn-core").normal(size=(2, seq, 16)))
+        pos = np.arange(seq)
+        worst = 0.0
+        with no_grad():
+            # the reference copies each KV head into its group, then composes
+            # matmul, scale, masked softmax and matmul on the full score matrix
+            def heads(name, n, d):
+                t = matmul(x, weights[f"attn.{name}"]).reshape(2, seq, n, d)
+                return t if name == "wv" else apply_rope(t, rope, pos)
+
+            q = heads("wq", cfg.n_heads, cfg.d_qk).swapaxes(1, 2)
+            k = repeat_kv_heads(heads("wk", cfg.n_kv_heads, cfg.d_qk), cfg.group_size)
+            v = repeat_kv_heads(heads("wv", cfg.n_kv_heads, cfg.d_v), cfg.group_size)
+            scores = matmul(q, k.swapaxes(1, 2).swapaxes(-1, -2)) * (cfg.d_qk ** -0.5)
+            for mask in (causal_mask(seq), swa_mask(seq, window=8, sink=3)):
+                probs = masked_softmax_lastdim(scores, mask)
+                want = matmul(probs, v.swapaxes(1, 2)).swapaxes(1, 2).data
+                got = attention_context(x, weights, cfg, rope, pos, mask=mask).data
+                worst = max(worst, float(np.abs(got - want).max()))
+        return worst < 1e-12, f"max |fused - composed| {worst:.1e} (causal, windowed)"
+
     checks = [
         ("causality under mutation (exact)", causal_mutation_exact),
+        ("fused kernel equals composed reference", fused_kernel_equals_composed),
         ("windowed visible set matches mask", swa_visible_set),
         ("rotary embedding preserves norms", rope_preserves_norms),
         ("rotary scores depend on distance only", rope_relative_property),

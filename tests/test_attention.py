@@ -12,7 +12,18 @@ from hybridlab.attention import (
     swa_mask,
 )
 from hybridlab.nn import RopeConfig, apply_rope
-from hybridlab.tensor import ContractError, Tensor, named_rng, no_grad
+from hybridlab.tensor import (
+    ContractError,
+    NonFiniteError,
+    Tensor,
+    attention_core,
+    backward,
+    masked_softmax_lastdim,
+    matmul,
+    named_rng,
+    no_grad,
+    reset_tape,
+)
 
 TINY = AttnConfig(d_model=16, n_heads=4, n_kv_heads=2, d_qk=4, d_v=4)
 ROPE = RopeConfig(head_dim=4, base=10000.0)
@@ -131,3 +142,107 @@ def test_attention_gradients():
         return (y * y).sum()
 
     fd_grad_check(loss_fn, weights, named_rng(1, "c"), coords_per_tensor=3)
+
+
+# ---------------------------------------------------------------------------
+# fused kernel: attention_core against the composed reference
+# ---------------------------------------------------------------------------
+
+
+def composed_attention(q, k, v, mask):
+    """Reference: repeat the KV heads, then matmul, masked softmax, matmul."""
+    group = q.shape[1] // k.shape[1]
+    k = repeat_kv_heads(k.swapaxes(1, 2), group).swapaxes(1, 2)
+    v = repeat_kv_heads(v.swapaxes(1, 2), group).swapaxes(1, 2)
+    scores = matmul(q, k.swapaxes(-1, -2)) * (q.shape[-1] ** -0.5)
+    if mask is None:
+        mask = np.ones(scores.shape[-2:], dtype=bool)
+    return matmul(masked_softmax_lastdim(scores, mask), v)
+
+
+def make_mask(kind, L):
+    return {"causal": causal_mask(L), "swa": swa_mask(L, 3, 2), "none": None}[kind]
+
+
+def make_qkv(rng, L, group, d_qk=4, d_v=4, batch=2, n_kv=2):
+    return (
+        Tensor(rng.normal(size=(batch, n_kv * group, L, d_qk)), requires_grad=True),
+        Tensor(rng.normal(size=(batch, n_kv, L, d_qk)), requires_grad=True),
+        Tensor(rng.normal(size=(batch, n_kv, L, d_v)), requires_grad=True),
+    )
+
+
+@pytest.mark.parametrize("L", [1, 63, 64, 131])
+@pytest.mark.parametrize("group", [1, 2, 4])
+@pytest.mark.parametrize("kind", ["causal", "swa", "none"])
+@pytest.mark.parametrize("d_v", [4, 8])
+def test_attention_core_matches_composed_reference(L, group, kind, d_v):
+    rng = named_rng(L * 100 + group * 10 + d_v, f"core-{kind}")
+    q, k, v = make_qkv(rng, L, group, d_v=d_v)
+    mask = make_mask(kind, L)
+    with no_grad():
+        got = attention_core(q, k, v, mask).data
+        want = composed_attention(q, k, v, mask).data
+    assert got.shape == (2, 2 * group, L, d_v)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["causal", "swa", "none"])
+def test_attention_core_gradients_match_fd_and_reference(kind):
+    L = 131
+    rng = named_rng(3, f"core-grad-{kind}")
+    q, k, v = make_qkv(rng, L, group=2, d_v=6, batch=1)
+    mask = make_mask(kind, L)
+    w = Tensor(rng.normal(size=(1, 4, L, 6)))
+    params = {"q": q, "k": k, "v": v}
+
+    def loss_fn():
+        return (attention_core(q, k, v, mask) * w).sum()
+
+    fd_grad_check(loss_fn, params, named_rng(4, f"core-fd-{kind}"), coords_per_tensor=6)
+
+    grads = []
+    for fn in (attention_core, composed_attention):
+        reset_tape()
+        for p in params.values():
+            p.grad = None
+        backward((fn(q, k, v, mask) * w).sum())
+        grads.append([p.grad.copy() for p in params.values()])
+    reset_tape()
+    for got, want in zip(*grads):
+        assert np.abs(got - want).max() <= 1e-10
+
+
+def test_attention_core_causality_is_bitwise_across_tiles():
+    L, t = 131, 90                     # t sits in the middle query tile
+    rng = named_rng(5, "core-mut")
+    q, k, v = make_qkv(rng, L, group=2)
+    with no_grad():
+        base = attention_core(q, k, v, causal_mask(L)).data
+        mutated = [Tensor(x.data.copy()) for x in (q, k, v)]
+        for x in mutated:
+            x.data[:, :, t] += 3.0
+        out = attention_core(*mutated, causal_mask(L)).data
+    assert np.array_equal(out[:, :, :t], base[:, :, :t])
+    assert not np.allclose(out[:, :, t], base[:, :, t])
+
+
+def test_attention_core_rejects_a_row_with_no_visible_key():
+    rng = named_rng(6, "core-empty")
+    q, k, v = make_qkv(rng, 70, group=1)
+    mask = causal_mask(70)
+    mask[66] = False
+    with pytest.raises(ContractError):
+        attention_core(q, k, v, mask)
+
+
+def test_attention_core_rejects_non_finite_results():
+    rng = named_rng(7, "core-inf")
+    q, k, v = make_qkv(rng, 70, group=2)
+    v.data[0, 1, 3, 2] = np.inf       # slipped in after the tensor's own check
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            attention_core(q, k, v, causal_mask(70))
+        # scores overflow to inf and the softmax turns them into NaN
+        with pytest.raises(NonFiniteError):
+            attention_core(Tensor(q.data * 1e200), Tensor(k.data * 1e200), Tensor(k.data))

@@ -171,3 +171,11 @@ def test_full_attention_state_bytes_grow_linearly():
     s1, _ = prefill(model, np.zeros((1, 10), dtype=np.int64))
     s2, _ = prefill(model, np.zeros((1, 20), dtype=np.int64))
     assert s2.cache_bytes() == 2 * s1.cache_bytes()
+
+
+@pytest.mark.parametrize("name", ("toy-llama", "toy-swa", "toy-intra"))
+def test_cached_decoding_equals_full_forward_across_the_attention_tile(name):
+    # a 70-token prompt spans two query tiles of the fused attention kernel
+    worst, state, cfg, layout = cached_vs_full(name, total=80, prompt=70)
+    assert worst < 1e-8, worst
+    assert state.cache_bytes() == hl.cache_bytes(layout, cfg, state.position)
