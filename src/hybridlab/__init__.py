@@ -74,7 +74,7 @@ from .layout import (
     save_layout,
     uniform_layout,
 )
-from .model import HybridModel, build_block
+from .model import HybridModel
 from .moe import MoeConfig, RouterState, moe_forward, route
 from .nn import RopeConfig, apply_rope, rms_norm, siglu_ffn
 from .serialize import load_checkpoint, load_model, read_niah_csv, save_checkpoint, save_model, write_niah_csv
@@ -91,8 +91,6 @@ from .tensor import (
     no_grad,
     reset_tape,
     set_chaos,
-    set_default_dtype,
-    working_precision,
 )
 from .verify import run_suites
 

@@ -7,7 +7,8 @@ how long the sequence grows. Masks are plain boolean numpy arrays.
 The softmax itself is `tensor.attention_core`, one fused op that walks
 the queries in tiles of whole rows; masked lanes still get exactly-zero
 weight, now per query tile, and a tile scores no key past its last
-visible mask column.
+visible mask column. The decode step is this same path with a KV
+cache: one query against every cached key, rotated when it was written.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ def attention_context(
     positions: np.ndarray,
     mask: np.ndarray | None = None,
     prefix: str = "attn",
+    cache=None,
 ) -> Tensor:
     """Per-head context before the output projection.
 
@@ -103,14 +105,22 @@ def attention_context(
     causal; pass `swa_mask(...)` for the windowed variant. `positions`
     are the absolute positions of the L tokens (rotary embedding is
     position-absolute).
+
+    With a KV `cache` (`decode.FullKV` or `decode.RollingKV`), each key
+    is rotated once, at its own position, and written to the cache with
+    its value. An empty cache is filled from the whole sequence, which
+    attends under `mask` as usual; a filled one takes one token, whose
+    query attends over everything the cache holds with no mask (every
+    cached key is visible to it by construction).
     """
     if x.ndim != 3:
         raise DimensionError(f"attention expects (batch, seq, d_model), got {x.shape}")
     b, l, d = x.shape
     if d != cfg.d_model:
         raise DimensionError(f"d_model mismatch: config {cfg.d_model}, input {d}")
-    if mask is None:
-        mask = causal_mask(l)
+    step = cache is not None and cache.entries > 0
+    if step and l != 1:
+        raise ContractError(f"a filled KV cache takes one token at a time, got {l}")
 
     wq, wk = weights[f"{prefix}.wq"], weights[f"{prefix}.wk"]
     wv = weights[f"{prefix}.wv"]
@@ -121,10 +131,17 @@ def attention_context(
 
     q = apply_rope(q, rope, positions)
     k = apply_rope(k, rope, positions)
+    if cache is not None:
+        cache.extend(k.data, v.data, positions)
+    if step:
+        k, v, _ = cache.read()
+        mask = None
+    elif mask is None:
+        mask = causal_mask(l)
 
     q = q.swapaxes(1, 2)                      # (B, H, L, d_qk)
-    k = k.swapaxes(1, 2)                      # (B, H_kv, L, d_qk)
-    v = v.swapaxes(1, 2)                      # (B, H_kv, L, d_v)
+    k = k.swapaxes(1, 2)                      # (B, H_kv, Lk, d_qk)
+    v = v.swapaxes(1, 2)                      # (B, H_kv, Lk, d_v)
 
     ctx = attention_core(q, k, v, mask)       # (B, H, L, d_v)
     return ctx.swapaxes(1, 2)                 # (B, L, H, d_v)
@@ -138,9 +155,10 @@ def attention_forward(
     positions: np.ndarray,
     mask: np.ndarray | None = None,
     prefix: str = "attn",
+    cache=None,
 ) -> Tensor:
     """Full block pass: x (B, L, d_model) -> (B, L, d_model)."""
-    ctx = attention_context(x, weights, cfg, rope, positions, mask, prefix)
+    ctx = attention_context(x, weights, cfg, rope, positions, mask, prefix, cache)
     b, l = x.shape[0], x.shape[1]
     ctx = ctx.reshape(b, l, cfg.n_heads * cfg.d_v)
     return matmul(ctx, weights[f"{prefix}.wo"])

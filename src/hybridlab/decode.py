@@ -1,24 +1,21 @@
 """Incremental decoding with per-kind bounded caches.
 
-`prefill` runs the whole prompt in one batched pass and captures each
-block's decode state; `decode_step` then advances one token at a time.
-Both paths are numerically the full forward pass, just reordered, and
-the tests pin cached-vs-full logit agreement per block kind.
+Decoding is the model's forward pass with caches, not a second copy of
+its math: `prefill` is `HybridModel.forward` over the prompt with fresh
+caches, and `decode_step` is the same forward on one token at
+`state.position`. Each mixer takes its block's cache as an optional
+argument and advances it in place, and the tests pin cached-vs-full
+logit agreement per block kind.
 
 Cache shapes per block:
 
-  attn    full KV: every past key and value (keys kept unrotated;
-          rotary embedding is applied at read time from the stored
-          absolute positions)
+  attn    full KV: every past key and value, each key rotated once at
+          its own absolute position when it is written
   swa     rolling KV: `sink` pinned slots plus a ring of the most
           recent `window` entries, so occupancy never exceeds
           window + sink
   mamba   conv ring (n_conv - 1 raw channel rows) + per-head SSM state
   intra   full KV for the attention half + SSM state for the other
-
-The one-token step and the full pass share one attention core,
-`tensor.attention_core`: the step calls it with a single query row and
-no mask, since every cached key is visible to it.
 
 `DecodeState.cache_bytes()` measures the live caches at 2 bytes per
 element (the in-flight conv row counts toward the ring, matching the
@@ -33,12 +30,10 @@ import numpy as np
 
 from .config import ModelConfig
 from .costs import CACHE_BYTES_PER_ELEMENT
-from .hybrid import fuse_branches, ssm_branch_prefill, ssm_branch_step
 from .layout import LayoutSpec
 from .model import Block, HybridModel
-from .nn import RopeConfig, apply_rope, rms_norm
-from .ssm import SsmState, ssm_prefill, ssm_step
-from .tensor import ContractError, Tensor, attention_core, matmul, no_grad
+from .ssm import SsmState, init_ssm_state
+from .tensor import ContractError, Tensor, no_grad
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +43,7 @@ from .tensor import ContractError, Tensor, attention_core, matmul, no_grad
 
 @dataclass
 class FullKV:
-    """Unbounded KV cache; keys stored before rotation."""
+    """Unbounded KV cache; keys stored already rotated."""
 
     n_kv: int
     d_qk: int
@@ -86,8 +81,8 @@ class RollingKV:
 
     Slot j holds position j while j < sink; later positions cycle
     through the ring slots. Slot order is not position order, which is
-    fine: attention is a softmax over a key set, and each key is
-    rotated by its own stored absolute position at read time.
+    fine: attention is a softmax over a key set, and each key was
+    rotated at its own absolute position before it was written.
     """
 
     window: int
@@ -179,73 +174,7 @@ class DecodeState:
         return CACHE_BYTES_PER_ELEMENT * sum(_cache_elems(c) for c in self.caches)
 
 
-# ---------------------------------------------------------------------------
-# per-kind steps
-# ---------------------------------------------------------------------------
-
-
-def _project_kv(normed: Tensor, block: Block, prefix: str):
-    cfg = block.attn_cfg if block.kind in ("attn", "swa") else block.intra_cfg.attn_cfg
-    b, l = normed.shape[0], normed.shape[1]
-    k = matmul(normed, block.weights[f"{prefix}.wk"]).data.reshape(b, l, cfg.n_kv_heads, cfg.d_qk)
-    v = matmul(normed, block.weights[f"{prefix}.wv"]).data.reshape(b, l, cfg.n_kv_heads, cfg.d_v)
-    return k, v
-
-
-def _attn_context_step(
-    x_t: Tensor,
-    weights: dict[str, Tensor],
-    cfg,
-    rope: RopeConfig,
-    cache: FullKV | RollingKV,
-    position: int,
-    prefix: str = "attn",
-) -> Tensor:
-    """One-token context (B, 1, H, d_v) against the cache (self included)."""
-    b = x_t.shape[0]
-    q = matmul(x_t, weights[f"{prefix}.wq"]).reshape(b, 1, cfg.n_heads, cfg.d_qk)
-    k_t = matmul(x_t, weights[f"{prefix}.wk"]).data.reshape(b, cfg.n_kv_heads, cfg.d_qk)
-    v_t = matmul(x_t, weights[f"{prefix}.wv"]).data.reshape(b, cfg.n_kv_heads, cfg.d_v)
-    cache.append(k_t, v_t, position)
-
-    k_all, v_all, positions = cache.read()
-    q = apply_rope(q, rope, np.array([position]))
-    k_all = apply_rope(k_all, rope, positions)
-
-    q = q.swapaxes(1, 2)                                  # (B, H, 1, d_qk)
-    k_all = k_all.swapaxes(1, 2)                          # (B, H_kv, n, d_qk)
-    v_all = v_all.swapaxes(1, 2)
-    # every cached entry is visible by construction, so no mask here
-    return attention_core(q, k_all, v_all).swapaxes(1, 2)  # (B, 1, H, d_v)
-
-
-def _block_step(block: Block, cache: BlockCache, x_t: Tensor, position: int) -> Tensor:
-    """Mixer output (B, d_model) for one token, updating the cache."""
-    b = x_t.shape[0]
-    if block.kind in ("attn", "swa"):
-        ctx = _attn_context_step(
-            x_t, block.weights, block.attn_cfg, block.rope, cache, position
-        )
-        flat = ctx.reshape(b, block.attn_cfg.n_heads * block.attn_cfg.d_v)
-        return matmul(flat, block.weights["attn.wo"])
-    if block.kind == "mamba":
-        out, new_state = ssm_step(x_t, block.weights, block.ssm_cfg, cache)
-        cache.conv_buf, cache.h = new_state.conv_buf, new_state.h
-        return out
-    # intra: attention half against the KV cache, SSM half against the state
-    icfg = block.intra_cfg
-    a = _attn_context_step(
-        x_t, block.weights, icfg.attn_cfg, block.rope, cache.kv, position, prefix="intra.attn"
-    )
-    m, new_state = ssm_branch_step(x_t, block.weights, icfg.ssm_cfg, cache.ssm)
-    cache.ssm.conv_buf, cache.ssm.h = new_state.conv_buf, new_state.h
-    fused = fuse_branches(a, m, block.weights, icfg, block.fusion, block.lambda_init)
-    return fused.reshape(b, block.cfg.d_model)
-
-
-def _fresh_cache(block: Block) -> BlockCache:
-    from .ssm import init_ssm_state
-
+def _fresh_cache(block: Block, batch: int) -> BlockCache:
     if block.kind == "attn":
         acfg = block.attn_cfg
         return FullKV(acfg.n_kv_heads, acfg.d_qk, acfg.d_v)
@@ -254,11 +183,11 @@ def _fresh_cache(block: Block) -> BlockCache:
         window, sink = block.cfg.block_window(block.spec)
         return RollingKV(window, sink, acfg.n_kv_heads, acfg.d_qk, acfg.d_v)
     if block.kind == "mamba":
-        return init_ssm_state(block.ssm_cfg)
+        return init_ssm_state(block.ssm_cfg, batch)
     acfg = block.intra_cfg.attn_cfg
     return IntraCache(
         kv=FullKV(acfg.n_kv_heads, acfg.d_qk, acfg.d_v),
-        ssm=init_ssm_state(block.intra_cfg.ssm_cfg),
+        ssm=init_ssm_state(block.intra_cfg.ssm_cfg, batch),
     )
 
 
@@ -268,88 +197,24 @@ def _fresh_cache(block: Block) -> BlockCache:
 
 
 def prefill(model: HybridModel, tokens: np.ndarray) -> tuple[DecodeState, Tensor]:
-    """Batched prompt pass. tokens (B, L) -> (state at position L, logits).
-
-    The mixer math reuses the exact training-path functions; only the
-    cache captures are extra.
-    """
-    from .attention import attention_context, swa_mask
-    from .tensor import embedding_lookup
-
+    """Batched prompt pass. tokens (B, L) -> (state at position L, logits)."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2 or tokens.shape[1] < 1:
         raise ContractError(f"prefill wants (batch, seq >= 1) tokens, got {tokens.shape}")
-    b, l = tokens.shape
-    positions = np.arange(l)
-    caches: list[BlockCache] = []
-
+    caches = [_fresh_cache(block, tokens.shape[0]) for block in model.blocks]
     with no_grad():
-        x = embedding_lookup(model.embed, tokens)
-        for block in model.blocks:
-            cache = _fresh_cache(block)
-            normed = rms_norm(x, block.weights["attn_norm.weight"])
-            if block.kind in ("attn", "swa"):
-                mask = None
-                if block.kind == "swa":
-                    window, sink = block.cfg.block_window(block.spec)
-                    mask = swa_mask(l, window, sink)
-                ctx = attention_context(
-                    normed, block.weights, block.attn_cfg, block.rope, positions, mask=mask
-                )
-                mixer = matmul(
-                    ctx.reshape(b, l, block.attn_cfg.n_heads * block.attn_cfg.d_v),
-                    block.weights["attn.wo"],
-                )
-                k, v = _project_kv(normed, block, "attn")
-                cache.extend(k, v, positions)
-            elif block.kind == "mamba":
-                mixer, state = ssm_prefill(normed, block.weights, block.ssm_cfg)
-                cache.conv_buf, cache.h = state.conv_buf, state.h
-            else:
-                icfg = block.intra_cfg
-                a = attention_context(
-                    normed, block.weights, icfg.attn_cfg, block.rope, positions,
-                    prefix="intra.attn",
-                )
-                m, sstate = ssm_branch_prefill(normed, block.weights, icfg.ssm_cfg)
-                mixer = fuse_branches(
-                    a, m, block.weights, icfg, block.fusion, block.lambda_init
-                )
-                k, v = _project_kv(normed, block, "intra.attn")
-                cache.kv.extend(k, v, positions)
-                cache.ssm.conv_buf, cache.ssm.h = sstate.conv_buf, sstate.h
-            x = x + mixer
-            x = x + block.ffn(rms_norm(x, block.weights["ffn_norm.weight"]))
-            caches.append(cache)
-        logits = matmul(rms_norm(x, model.final_norm), model.head)
-
-    return DecodeState(cfg=model.cfg, layout=model.layout, position=l, caches=caches), logits
+        logits = model.forward(tokens, caches)
+    state = DecodeState(cfg=model.cfg, layout=model.layout, position=tokens.shape[1], caches=caches)
+    return state, logits
 
 
 def decode_step(model: HybridModel, state: DecodeState, tokens: np.ndarray | int) -> Tensor:
     """Consume one token per sequence and return next-token logits (B, V)."""
-    from .tensor import embedding_lookup
-
-    if isinstance(tokens, (int, np.integer)):
-        tokens = np.array([tokens])
-    tokens = np.asarray(tokens).reshape(-1)
-    t = state.position
-
+    tokens = np.asarray(tokens).reshape(-1, 1)
     with no_grad():
-        x = embedding_lookup(model.embed, tokens.reshape(-1, 1)).reshape(
-            tokens.shape[0], model.cfg.d_model
-        )
-        for block, cache in zip(model.blocks, state.caches):
-            normed = rms_norm(x, block.weights["attn_norm.weight"])
-            x = x + _block_step(block, cache, normed, t)
-            ffn_in = rms_norm(x, block.weights["ffn_norm.weight"])
-            x = x + block.ffn(ffn_in.reshape(-1, 1, model.cfg.d_model)).reshape(
-                tokens.shape[0], model.cfg.d_model
-            )
-        logits = matmul(rms_norm(x, model.final_norm), model.head)
-
-    state.position = t + 1
-    return logits
+        logits = model.forward(tokens, state.caches, start=state.position)
+    state.position += 1
+    return logits.reshape(tokens.shape[0], model.cfg.vocab)
 
 
 def sample_token(logits, temperature: float = 0.0, rng: np.random.Generator | None = None) -> np.ndarray:

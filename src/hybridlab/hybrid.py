@@ -30,18 +30,8 @@ import numpy as np
 
 from .attention import AttnConfig, attention_context, attn_param_shapes, init_attn_params
 from .nn import RopeConfig, group_norm_per_head, param, proj_init
-from .ssm import (
-    SsmConfig,
-    SsmState,
-    conv_tail,
-    init_ssm_params,
-    ssm_featurize,
-    ssm_param_shapes,
-    ssm_scan,
-    ssm_step_core,
-    ssm_step_featurize,
-)
-from .tensor import ContractError, Tensor, concat, exp, matmul, sigmoid, silu, tsum
+from .ssm import SsmConfig, SsmState, init_ssm_params, ssm_context, ssm_param_shapes
+from .tensor import ContractError, Tensor, concat, exp, matmul, sigmoid, tsum
 
 NORMS = ("none", "group")
 SCALARS = ("none", "scale", "gate", "diff_lambda")
@@ -304,43 +294,6 @@ def fuse_branches(
     return ya + ym if spec.fusion == "add" else ya - ym
 
 
-def ssm_branch_context(
-    x: Tensor,
-    weights: dict[str, Tensor],
-    scfg: SsmConfig,
-    chunk: int = 16,
-    prefix: str = "intra.ssm",
-) -> Tensor:
-    """SSM half: featurize, scan, silu(z) gate; no norm weight, no proj.
-
-    Returns per-head contexts (B, L, H_ssm, d_fuse).
-    """
-    z, xs, bm, cm, dt, _ = ssm_featurize(x, weights, scfg, prefix)
-    y = ssm_scan(xs, dt, bm, cm, weights[f"{prefix}.A_log"], weights[f"{prefix}.D"], chunk=chunk)
-    b, l = x.shape[0], x.shape[1]
-    gate = silu(z).reshape(b, l, scfg.n_heads, scfg.d_head)
-    return y * gate
-
-
-def ssm_branch_prefill(
-    x: Tensor,
-    weights: dict[str, Tensor],
-    scfg: SsmConfig,
-    chunk: int = 16,
-    prefix: str = "intra.ssm",
-) -> tuple[Tensor, SsmState]:
-    """`ssm_branch_context` that also returns the decode state."""
-    z, xs, bm, cm, dt, conv_in = ssm_featurize(x, weights, scfg, prefix)
-    y, h_state = ssm_scan(
-        xs, dt, bm, cm, weights[f"{prefix}.A_log"], weights[f"{prefix}.D"],
-        chunk=chunk, return_state=True,
-    )
-    b, l = x.shape[0], x.shape[1]
-    gate = silu(z).reshape(b, l, scfg.n_heads, scfg.d_head)
-    state = SsmState(conv_buf=conv_tail(conv_in, scfg), h=Tensor(np.array(h_state.data)))
-    return y * gate, state
-
-
 def ssm_branch_step(
     x_t: Tensor,
     weights: dict[str, Tensor],
@@ -348,15 +301,14 @@ def ssm_branch_step(
     state: SsmState,
     prefix: str = "intra.ssm",
 ) -> tuple[Tensor, SsmState]:
-    """Single-token SSM half: x_t (B, d_model) -> (B, 1, H_ssm, d_fuse)."""
-    b = x_t.shape[0]
-    z, xs, bm, cm, dt, new_buf = ssm_step_featurize(x_t, weights, scfg, state, prefix)
-    y, h_new = ssm_step_core(
-        xs, dt, bm, cm, weights[f"{prefix}.A_log"], weights[f"{prefix}.D"], state.h
-    )
-    gate = silu(z).reshape(b, scfg.n_heads, scfg.d_head)
-    m = (y * gate).reshape(b, 1, scfg.n_heads, scfg.d_head)
-    return m, SsmState(conv_buf=new_buf, h=h_new)
+    """Single-token SSM half: x_t (B, d_model) -> (B, 1, H_ssm, d_fuse).
+
+    `ssm_context` on one token; returns a new state, leaving `state` as
+    it was.
+    """
+    new = SsmState(conv_buf=state.conv_buf, h=state.h)
+    x = x_t.reshape(x_t.shape[0], 1, scfg.d_model)
+    return ssm_context(x, weights, scfg, prefix=prefix, state=new), new
 
 
 def intra_hybrid_forward(
@@ -368,11 +320,21 @@ def intra_hybrid_forward(
     lambda_init: float = 0.5,
     chunk: int = 16,
     prefix: str = "intra",
+    cache=None,
 ) -> Tensor:
-    """Full block pass: (B, L, d_model) -> (B, L, d_model)."""
+    """Full block pass: (B, L, d_model) -> (B, L, d_model).
+
+    The SSM half is `ssm_context` (no norm weight, no out projection).
+    With a `cache` (`decode.IntraCache`), the attention half reads and
+    writes its KV cache and the SSM half advances its state.
+    """
     icfg.validate_fusion(spec)
     a = attention_context(
-        x, weights, icfg.attn_cfg, icfg.rope_cfg, positions, mask=None, prefix=f"{prefix}.attn"
+        x, weights, icfg.attn_cfg, icfg.rope_cfg, positions, mask=None, prefix=f"{prefix}.attn",
+        cache=None if cache is None else cache.kv,
     )
-    m = ssm_branch_context(x, weights, icfg.ssm_cfg, chunk=chunk, prefix=f"{prefix}.ssm")
+    m = ssm_context(
+        x, weights, icfg.ssm_cfg, chunk=chunk, prefix=f"{prefix}.ssm",
+        state=None if cache is None else cache.ssm,
+    )
     return fuse_branches(a, m, weights, icfg, spec, lambda_init, prefix)

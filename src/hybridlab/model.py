@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import attention_forward, causal_mask, init_attn_params, swa_mask
+from .attention import attention_forward, init_attn_params, swa_mask
 from .config import ModelConfig
 from .hybrid import default_lambda_init, init_intra_params, intra_hybrid_forward
 from .layout import BlockSpec, LayoutSpec
@@ -65,21 +65,23 @@ class Block:
             self.weights["ffn.up"] = proj_init(rng, cfg.d_model, cfg.d_ffn)
             self.weights["ffn.down"] = proj_init(rng, cfg.d_ffn, cfg.d_model)
 
-    def mixer(self, normed: Tensor, positions: np.ndarray) -> Tensor:
-        seq = normed.shape[1]
+    def mixer(self, normed: Tensor, positions: np.ndarray, cache=None) -> Tensor:
+        """Mixer output; `cache` is this block's decode state (see `decode`)."""
         if self.kind == "attn":
-            return attention_forward(normed, self.weights, self.attn_cfg, self.rope, positions)
+            return attention_forward(
+                normed, self.weights, self.attn_cfg, self.rope, positions, cache=cache
+            )
         if self.kind == "swa":
             window, sink = self.cfg.block_window(self.spec)
-            mask = swa_mask(seq, window, sink)
+            mask = swa_mask(normed.shape[1], window, sink)
             return attention_forward(
-                normed, self.weights, self.attn_cfg, self.rope, positions, mask=mask
+                normed, self.weights, self.attn_cfg, self.rope, positions, mask=mask, cache=cache
             )
         if self.kind == "mamba":
-            return ssm_forward(normed, self.weights, self.ssm_cfg, chunk=SSM_CHUNK)
+            return ssm_forward(normed, self.weights, self.ssm_cfg, chunk=SSM_CHUNK, state=cache)
         return intra_hybrid_forward(
             normed, self.weights, self.intra_cfg, self.fusion, positions,
-            lambda_init=self.lambda_init, chunk=SSM_CHUNK,
+            lambda_init=self.lambda_init, chunk=SSM_CHUNK, cache=cache,
         )
 
     def ffn(self, normed: Tensor) -> Tensor:
@@ -91,8 +93,8 @@ class Block:
             normed, self.weights["ffn.gate"], self.weights["ffn.up"], self.weights["ffn.down"]
         )
 
-    def forward(self, x: Tensor, positions: np.ndarray) -> Tensor:
-        x = x + self.mixer(rms_norm(x, self.weights["attn_norm.weight"]), positions)
+    def forward(self, x: Tensor, positions: np.ndarray, cache=None) -> Tensor:
+        x = x + self.mixer(rms_norm(x, self.weights["attn_norm.weight"]), positions, cache)
         x = x + self.ffn(rms_norm(x, self.weights["ffn_norm.weight"]))
         return x
 
@@ -100,10 +102,6 @@ class Block:
         if self.moe_state is not None and self.last_moe_load is not None:
             update_balance(self.moe_state, self.last_moe_load, self.moe_cfg.balance_rate)
             self.last_moe_load = None
-
-
-def build_block(spec: BlockSpec, cfg: ModelConfig, rng: np.random.Generator, index: int = 0) -> Block:
-    return Block(spec, cfg, rng, index)
 
 
 class HybridModel:
@@ -115,21 +113,26 @@ class HybridModel:
         self.seed = seed
         self.embed = param(named_rng(seed, "embed"), (cfg.vocab, cfg.d_model), EMBED_STD)
         self.blocks = [
-            build_block(spec, cfg, named_rng(seed, f"blocks.{i}"), index=i)
+            Block(spec, cfg, named_rng(seed, f"blocks.{i}"), index=i)
             for i, spec in enumerate(layout.blocks)
         ]
         self.final_norm = Tensor(np.ones(cfg.d_model), requires_grad=True)
         self.head = param(named_rng(seed, "head"), (cfg.d_model, cfg.vocab), HEAD_STD)
 
-    def forward(self, tokens: np.ndarray) -> Tensor:
-        """tokens (batch, seq) int -> logits (batch, seq, vocab)."""
+    def forward(self, tokens: np.ndarray, caches: list | None = None, start: int = 0) -> Tensor:
+        """tokens (batch, seq) int -> logits (batch, seq, vocab).
+
+        The tokens sit at absolute positions start, start + 1, ...; with
+        `caches` (one decode state per block) each mixer reads and
+        advances its block's state.
+        """
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
             raise ContractError(f"tokens must be (batch, seq), got {tokens.shape}")
-        positions = np.arange(tokens.shape[1])
+        positions = np.arange(start, start + tokens.shape[1])
         x = embedding_lookup(self.embed, tokens)
-        for block in self.blocks:
-            x = block.forward(x, positions)
+        for block, cache in zip(self.blocks, caches or [None] * len(self.blocks)):
+            x = block.forward(x, positions, cache)
         x = rms_norm(x, self.final_norm)
         return matmul(x, self.head)
 

@@ -12,10 +12,14 @@ One block maps (batch, seq, d_model) -> (batch, seq, d_model):
   out_proj
 
 Two equivalent evaluation orders are provided: a token-by-token fold
-(`ssm_step`, also the decode path) and a chunked matrix form
-(`ssm_scan`) that rewrites each chunk as a masked score matrix plus a
-carried inter-chunk state. Both are exactly causal; they agree to
-~1e-12 at double precision and the tests pin that equivalence.
+(`ssm_step_core`) and a chunked matrix form (`ssm_scan`) that rewrites
+each chunk as a masked score matrix plus a carried inter-chunk state.
+Both are exactly causal; they agree to ~1e-12 at double precision and
+the tests pin that equivalence. There is one block path,
+`ssm_context` (plus norm and out projection in `ssm_forward`), with an
+optional decode state: a sequence runs the scan, and a single token
+against a state runs the fold. `ssm_prefill` and `ssm_step` are that
+path from a fresh state and on one token.
 
 The recurrent state per head is (d_head, d_state); its size does not
 depend on sequence length, which is the whole point.
@@ -125,13 +129,20 @@ def _repeat_groups(t: Tensor, rep: int) -> Tensor:
     return (t.reshape(*lead, g, 1, n) * ones).reshape(*lead, g * rep, n)
 
 
-def causal_conv(u: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Depthwise causal conv along axis 1: u (B, L, C), weight (C, K)."""
+def causal_conv(u: Tensor, weight: Tensor, bias: Tensor, history: Tensor | None = None) -> Tensor:
+    """Depthwise causal conv along axis 1: u (B, L, C), weight (C, K).
+
+    `history` (B, K - 1, C) holds the raw inputs just before u; None
+    means u starts the sequence, and zeros are used instead.
+    """
     channels, k = weight.shape
     if u.shape[-1] != channels:
         raise DimensionError(f"conv channels {channels} vs input {u.shape[-1]}")
     seq = u.shape[1]
-    padded = pad_front(u, k - 1, axis=1)
+    if history is None:
+        padded = pad_front(u, k - 1, axis=1)
+    else:
+        padded = concat([history, u], axis=1)
     out = None
     for tap in range(k):
         term = padded[:, tap : tap + seq, :] * weight[:, tap]
@@ -140,14 +151,20 @@ def causal_conv(u: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 def ssm_featurize(
-    x: Tensor, weights: dict[str, Tensor], cfg: SsmConfig, prefix: str = "ssm"
+    x: Tensor,
+    weights: dict[str, Tensor],
+    cfg: SsmConfig,
+    prefix: str = "ssm",
+    state: SsmState | None = None,
 ) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor, Tensor]:
     """in_proj + conv + SiLU + dt softplus for a whole sequence.
 
     x: (B, L, d_model). Returns (z, xs, Bm, Cm, dt, conv_in) with shapes
     (B, L, d_ssm), (B, L, H, P), (B, L, G, N), (B, L, G, N), (B, L, H),
     (B, L, conv_channels); dt is post-softplus, conv_in is the raw
-    pre-conv channel block (the decode path seeds its ring from it).
+    pre-conv channel block. With a decode `state`, the conv continues
+    from its ring, and the ring then moves on to the last n_conv - 1
+    raw inputs.
     """
     if x.ndim != 3:
         raise DimensionError(f"ssm expects (batch, seq, d_model), got {x.shape}")
@@ -156,7 +173,15 @@ def ssm_featurize(
     z = proj[:, :, :d]
     conv_in = proj[:, :, d : 2 * d + 2 * gn]
     dt_raw = proj[:, :, 2 * d + 2 * gn :]
-    conved = silu(causal_conv(conv_in, weights[f"{prefix}.conv.weight"], weights[f"{prefix}.conv.bias"]))
+    history = None if state is None else state.conv_buf
+    conved = silu(causal_conv(
+        conv_in, weights[f"{prefix}.conv.weight"], weights[f"{prefix}.conv.bias"], history
+    ))
+    keep = cfg.n_conv - 1
+    if state is not None and keep > 0:
+        recent = np.concatenate([history.data, conv_in.data[:, -keep:]], axis=1)
+        # a copy, so the ring does not pin the whole prompt behind a view
+        state.conv_buf = Tensor(recent[:, -keep:].copy())
     b, l = x.shape[0], x.shape[1]
     xs = conved[:, :, :d].reshape(b, l, h, cfg.d_head)
     bm = conved[:, :, d : d + gn].reshape(b, l, cfg.n_groups, cfg.d_state)
@@ -262,32 +287,6 @@ def ssm_step_core(
     return y + x_t * d_skip.reshape(1, h, 1), h_new
 
 
-def ssm_gate_and_project(
-    y: Tensor, z: Tensor, weights: dict[str, Tensor], cfg: SsmConfig, prefix: str = "ssm"
-) -> Tensor:
-    """silu(z) gate, optional RMS norm weight, out projection."""
-    lead = y.shape[:-2]
-    gated = y.reshape(*lead, cfg.d_ssm) * silu(z)
-    if cfg.gated_norm:
-        gated = rms_norm(gated, weights[f"{prefix}.norm.weight"])
-    return matmul(gated, weights[f"{prefix}.out_proj"])
-
-
-def ssm_forward(
-    x: Tensor,
-    weights: dict[str, Tensor],
-    cfg: SsmConfig,
-    chunk: int = 16,
-    prefix: str = "ssm",
-) -> Tensor:
-    """Full block pass: (B, L, d_model) -> (B, L, d_model)."""
-    z, xs, bm, cm, dt, _ = ssm_featurize(x, weights, cfg, prefix)
-    y = ssm_scan(
-        xs, dt, bm, cm, weights[f"{prefix}.A_log"], weights[f"{prefix}.D"], chunk=chunk
-    )
-    return ssm_gate_and_project(y, z, weights, cfg, prefix)
-
-
 @dataclass
 class SsmState:
     """Decode-time recurrent state for one block (batch of 1 or more)."""
@@ -303,6 +302,59 @@ def init_ssm_state(cfg: SsmConfig, batch: int = 1) -> SsmState:
     )
 
 
+def ssm_context(
+    x: Tensor,
+    weights: dict[str, Tensor],
+    cfg: SsmConfig,
+    chunk: int = 16,
+    prefix: str = "ssm",
+    state: SsmState | None = None,
+) -> Tensor:
+    """Featurize, scan, silu(z) gate: (B, L, d_model) -> (B, L, H, P).
+
+    With a decode `state` the sequence continues from it, and the state
+    is advanced in place to the end of the sequence. One token against
+    a state runs `ssm_step_core`, the fold the scan is tested against.
+    """
+    z, xs, bm, cm, dt, _ = ssm_featurize(x, weights, cfg, prefix, state)
+    a_log, d_skip = weights[f"{prefix}.A_log"], weights[f"{prefix}.D"]
+    b, l = x.shape[0], x.shape[1]
+    if state is None:
+        y = ssm_scan(xs, dt, bm, cm, a_log, d_skip, chunk=chunk)
+    elif l == 1:
+        h, g = cfg.n_heads, cfg.n_groups
+        y, state.h = ssm_step_core(
+            xs.reshape(b, h, cfg.d_head), dt.reshape(b, h), bm.reshape(b, g, cfg.d_state),
+            cm.reshape(b, g, cfg.d_state), a_log, d_skip, state.h,
+        )
+        y = y.reshape(b, 1, h, cfg.d_head)
+    else:
+        y, state.h = ssm_scan(
+            xs, dt, bm, cm, a_log, d_skip, h0=state.h, chunk=chunk, return_state=True
+        )
+    return y * silu(z).reshape(b, l, cfg.n_heads, cfg.d_head)
+
+
+def ssm_forward(
+    x: Tensor,
+    weights: dict[str, Tensor],
+    cfg: SsmConfig,
+    chunk: int = 16,
+    prefix: str = "ssm",
+    state: SsmState | None = None,
+) -> Tensor:
+    """Full block pass: (B, L, d_model) -> (B, L, d_model).
+
+    `ssm_context`, then the optional RMS norm weight and the out
+    projection; `state` is advanced as there.
+    """
+    b, l = x.shape[0], x.shape[1]
+    gated = ssm_context(x, weights, cfg, chunk, prefix, state).reshape(b, l, cfg.d_ssm)
+    if cfg.gated_norm:
+        gated = rms_norm(gated, weights[f"{prefix}.norm.weight"])
+    return matmul(gated, weights[f"{prefix}.out_proj"])
+
+
 def ssm_prefill(
     x: Tensor,
     weights: dict[str, Tensor],
@@ -310,71 +362,9 @@ def ssm_prefill(
     chunk: int = 16,
     prefix: str = "ssm",
 ) -> tuple[Tensor, SsmState]:
-    """Full block pass that also returns the decode state after the sequence.
-
-    The conv buffer keeps the last n_conv - 1 pre-activation conv inputs
-    (zero-padded in front when the prompt is shorter than the kernel).
-    """
-    z, xs, bm, cm, dt, conv_in = ssm_featurize(x, weights, cfg, prefix)
-    y, h_state = ssm_scan(
-        xs, dt, bm, cm, weights[f"{prefix}.A_log"], weights[f"{prefix}.D"],
-        chunk=chunk, return_state=True,
-    )
-    out = ssm_gate_and_project(y, z, weights, cfg, prefix)
-    state = SsmState(conv_buf=conv_tail(conv_in, cfg), h=Tensor(h_state.data.copy()))
-    return out, state
-
-
-def conv_tail(conv_in: Tensor, cfg: SsmConfig) -> Tensor:
-    """Last n_conv - 1 raw conv inputs of a sequence, zero-padded in front."""
-    b, l = conv_in.shape[0], conv_in.shape[1]
-    keep = max(cfg.n_conv - 1, 0)
-    if keep == 0:
-        return Tensor(np.zeros((b, 0, cfg.conv_channels)))
-    if l >= keep:
-        return Tensor(conv_in.data[:, l - keep :, :].copy())
-    return Tensor(np.concatenate(
-        [np.zeros((b, keep - l, cfg.conv_channels)), conv_in.data], axis=1
-    ))
-
-
-def ssm_step_featurize(
-    x_t: Tensor,
-    weights: dict[str, Tensor],
-    cfg: SsmConfig,
-    state: SsmState,
-    prefix: str = "ssm",
-) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor, Tensor]:
-    """Single-token featurization against the conv ring.
-
-    x_t (B, d_model) -> (z (B, d_ssm), xs (B, H, P), bm/cm (B, G, N),
-    dt (B, H), new conv_buf). Matches `ssm_featurize` at the last
-    position of the implied prefix.
-    """
-    if x_t.ndim != 2:
-        raise DimensionError(f"ssm_step expects (batch, d_model), got {x_t.shape}")
-    b = x_t.shape[0]
-    proj = matmul(x_t, weights[f"{prefix}.in_proj"])
-    d, gn = cfg.d_ssm, cfg.n_groups * cfg.d_state
-    z = proj[:, :d]
-    conv_in = proj[:, d : 2 * d + 2 * gn]
-    dt_raw = proj[:, 2 * d + 2 * gn :]
-
-    window = concat([state.conv_buf, conv_in.reshape(b, 1, -1)], axis=1)  # (B, K, C)
-    w_conv = weights[f"{prefix}.conv.weight"]
-    k = w_conv.shape[1]
-    acc = None
-    for tap in range(k):
-        term = window[:, tap, :] * w_conv[:, tap]
-        acc = term if acc is None else acc + term
-    conved = silu(acc + weights[f"{prefix}.conv.bias"])
-
-    xs = conved[:, :d].reshape(b, cfg.n_heads, cfg.d_head)
-    bm = conved[:, d : d + gn].reshape(b, cfg.n_groups, cfg.d_state)
-    cm = conved[:, d + gn :].reshape(b, cfg.n_groups, cfg.d_state)
-    dt = softplus(dt_raw + weights[f"{prefix}.dt_bias"])
-    new_buf = window[:, 1:, :] if k > 1 else state.conv_buf
-    return z, xs, bm, cm, dt, new_buf
+    """`ssm_forward` from a fresh state; also returns the state after x."""
+    state = init_ssm_state(cfg, batch=x.shape[0])
+    return ssm_forward(x, weights, cfg, chunk, prefix, state), state
 
 
 def ssm_step(
@@ -386,15 +376,12 @@ def ssm_step(
 ) -> tuple[Tensor, SsmState]:
     """Single-token block pass: x_t (B, d_model) -> (B, d_model).
 
-    Equivalent to running `ssm_forward` on the whole prefix and reading
-    the last position; the state is (conv ring, per-head SSM state).
+    `ssm_forward` on one token; returns the output and a new state,
+    leaving `state` as it was.
     """
+    if x_t.ndim != 2:
+        raise DimensionError(f"ssm_step expects (batch, d_model), got {x_t.shape}")
     b = x_t.shape[0]
-    z, xs, bm, cm, dt, new_buf = ssm_step_featurize(x_t, weights, cfg, state, prefix)
-    y, h_new = ssm_step_core(
-        xs, dt, bm, cm, weights[f"{prefix}.A_log"], weights[f"{prefix}.D"], state.h
-    )
-    out = ssm_gate_and_project(
-        y.reshape(b, 1, cfg.n_heads, cfg.d_head), z.reshape(b, 1, cfg.d_ssm), weights, cfg, prefix
-    )
-    return out.reshape(b, cfg.d_model), SsmState(conv_buf=new_buf, h=h_new)
+    new = SsmState(conv_buf=state.conv_buf, h=state.h)
+    out = ssm_forward(x_t.reshape(b, 1, cfg.d_model), weights, cfg, prefix=prefix, state=new)
+    return out.reshape(b, cfg.d_model), new

@@ -4,8 +4,7 @@ Everything downstream (attention, selective state spaces, fused hybrid
 blocks, the training harness) runs on this module. The design goals are
 desk-scale clarity and exact reproducibility, not throughput:
 
-* arrays are plain numpy, in a single process, at a switchable working
-  precision (``single`` or ``double``; default double);
+* arrays are plain float64 numpy, in a single process;
 * every operation that touches a gradient-tracking tensor appends one
   node to a flat tape in execution order, which is already a valid
   topological order, so ``backward`` is a single reverse sweep that
@@ -50,32 +49,10 @@ class NonFiniteError(ArithmeticError):
     """An operation produced NaN or infinity."""
 
 
-_DTYPES = {"single": np.float32, "double": np.float64}
-_default_dtype = np.float64
-
 # Fault-injection hook for the self-test of the verification harness.
 # "flip-sign" negates every matmul output, which must make the property
 # suites fail loudly; None is normal operation.
 _chaos_mode: str | None = None
-
-
-def set_default_dtype(kind: str) -> None:
-    global _default_dtype
-    if kind not in _DTYPES:
-        raise ContractError(f"unknown precision {kind!r}; expected 'single' or 'double'")
-    _default_dtype = _DTYPES[kind]
-
-
-@contextmanager
-def working_precision(kind: str):
-    """Temporarily switch the default dtype for new tensors."""
-    global _default_dtype
-    old = _default_dtype
-    set_default_dtype(kind)
-    try:
-        yield
-    finally:
-        _default_dtype = old
 
 
 def set_chaos(mode: str | None) -> None:
@@ -168,7 +145,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=_default_dtype)
+        arr = np.asarray(data, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise NonFiniteError("tensor created with non-finite values")
         self.data = arr

@@ -3,6 +3,8 @@ import pytest
 
 import hybridlab as hl
 from hybridlab.config import preset, with_vocab
+from hybridlab.hybrid import legal_fusion_specs
+from hybridlab.layout import BlockSpec, LayoutSpec
 from hybridlab.decode import (
     DecodeState,
     FullKV,
@@ -22,7 +24,12 @@ PRESETS = ("toy-llama", "toy-mamba", "toy-swa", "toy-inter", "toy-intra", "toy-i
 def cached_vs_full(name, total=24, prompt=5, batch=2, seed=1):
     cfg, layout = preset(name)
     model = HybridModel(cfg, layout, seed=seed)
-    tokens = named_rng(seed, f"dec-{name}").integers(0, cfg.vocab, size=(batch, total))
+    worst, state = cached_vs_full_model(model, f"dec-{name}", total, prompt, batch, seed)
+    return worst, state, cfg, layout
+
+
+def cached_vs_full_model(model, stream, total, prompt, batch, seed):
+    tokens = named_rng(seed, stream).integers(0, model.cfg.vocab, size=(batch, total))
     state, logits = prefill(model, tokens[:, :prompt])
     rows = [logits.data[:, -1]]
     for t in range(prompt, total):
@@ -32,7 +39,7 @@ def cached_vs_full(name, total=24, prompt=5, batch=2, seed=1):
     worst = max(
         float(np.abs(rows[i] - full[:, prompt - 1 + i]).max()) for i in range(len(rows))
     )
-    return worst, state, cfg, layout
+    return worst, state
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -179,3 +186,61 @@ def test_cached_decoding_equals_full_forward_across_the_attention_tile(name):
     worst, state, cfg, layout = cached_vs_full(name, total=80, prompt=70)
     assert worst < 1e-8, worst
     assert state.cache_bytes() == hl.cache_bytes(layout, cfg, state.position)
+
+
+def _intra_2l(spec, ratio):
+    cfg, _ = preset("toy-intra-2l")
+    block = BlockSpec(kind="intra", fusion=spec, dim_ratio=ratio)
+    return cfg, LayoutSpec((block, block))
+
+
+def _legal(spec, ratio):
+    cfg, layout = _intra_2l(spec, ratio)
+    try:
+        cfg.intra_cfg(layout.blocks[0]).validate_fusion(spec)
+    except ContractError:
+        return False
+    return True
+
+
+FUSION_GRID = [
+    pytest.param(
+        spec, ratio,
+        id=f"{spec.norm}-{spec.scalar}-{spec.fusion}-{spec.out_projs}-{ratio[0]:g}to{ratio[1]:g}",
+    )
+    for ratio in ((1.0, 1.0), (2.0, 1.0))
+    for spec in legal_fusion_specs()
+    if _legal(spec, ratio)
+]
+
+
+def test_fusion_grid_has_64_legal_cells():
+    # all 40 cells at 1:1; at 2:1 the single-projection add/diff cells drop out
+    assert len(FUSION_GRID) == 64
+
+
+@pytest.mark.parametrize("spec,ratio", FUSION_GRID)
+def test_cached_decoding_equals_full_forward_on_every_fusion_cell(spec, ratio):
+    cfg, layout = _intra_2l(spec, ratio)
+    model = HybridModel(cfg, layout, seed=2)
+    worst, state = cached_vs_full_model(model, "dec-fusion-grid", total=9, prompt=4, batch=2, seed=2)
+    assert worst < 1e-8, worst
+    assert state.cache_bytes() == hl.cache_bytes(layout, cfg, state.position)
+
+
+@pytest.mark.parametrize("name", ("toy-mamba", "toy-intra"))
+def test_cached_decoding_from_a_one_token_prompt(name):
+    # the conv ring starts shorter than the kernel and fills from the steps
+    worst, state, cfg, layout = cached_vs_full(name, total=10, prompt=1)
+    assert worst < 1e-8, worst
+    assert state.cache_bytes() == hl.cache_bytes(layout, cfg, state.position)
+
+
+@pytest.mark.parametrize("name", ("toy-llama", "toy-swa", "toy-intra"))
+def test_a_filled_kv_cache_takes_one_token_at_a_time(name):
+    # chunked prefill is unsupported: the chunk would attend unmasked
+    cfg, layout = preset(name)
+    model = HybridModel(cfg, layout, seed=0)
+    state, _ = prefill(model, np.array([[1, 2, 3]]))
+    with pytest.raises(ContractError), no_grad():
+        model.forward(np.array([[4, 5]]), state.caches, start=state.position)

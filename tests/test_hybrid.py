@@ -12,7 +12,9 @@ from hybridlab.hybrid import (
     init_intra_params,
     intra_hybrid_forward,
     legal_fusion_specs,
+    ssm_branch_step,
 )
+from hybridlab.ssm import init_ssm_state, ssm_context
 from hybridlab.tensor import ContractError, Tensor, named_rng, no_grad
 
 # d_ssm = 2 * d_model matches the published dimensioning and keeps the
@@ -129,3 +131,18 @@ def test_gradients_on_named_cells(name):
         return (y * y).sum()
 
     fd_grad_check(loss_fn, weights, named_rng(1, "c"), coords_per_tensor=2)
+
+
+def test_ssm_branch_step_folds_to_the_branch_context():
+    rng = named_rng(0, "branch-step")
+    scfg = TINY.ssm_cfg
+    weights = init_intra_params(TINY, FUSION_PRESETS["best"], rng)
+    x = rng.normal(size=(2, 6, TINY.d_model))
+    with no_grad():
+        full = ssm_context(Tensor(x), weights, scfg, chunk=4, prefix="intra.ssm").data
+        state = init_ssm_state(scfg, batch=2)
+        for t in range(x.shape[1]):
+            before = state
+            m, state = ssm_branch_step(Tensor(x[:, t]), weights, scfg, state)
+            assert state is not before
+            assert np.abs(m.data[:, 0] - full[:, t]).max() < 1e-12

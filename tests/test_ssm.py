@@ -4,6 +4,7 @@ import pytest
 from gradcheck import fd_grad_check
 from hybridlab.ssm import (
     SsmConfig,
+    causal_conv,
     init_ssm_params,
     init_ssm_state,
     ssm_featurize,
@@ -149,3 +150,46 @@ def test_ssm_gradients():
         return (y * y).sum()
 
     fd_grad_check(loss_fn, weights, named_rng(1, "c"), coords_per_tensor=3, rtol=1e-4)
+
+
+@pytest.mark.parametrize("n_conv", [1, 4])
+def test_conv_history_continues_the_sequence(n_conv):
+    # the history is the last n_conv - 1 raw inputs before the cut,
+    # zero-padded in front when the cut comes early (j < n_conv - 1)
+    rng = named_rng(0, f"conv-history-{n_conv}")
+    batch, seq, channels = 2, 7, 5
+    weight = Tensor(rng.normal(size=(channels, n_conv)))
+    bias = Tensor(rng.normal(size=channels))
+    u = rng.normal(size=(batch, seq, channels))
+    with no_grad():
+        full = causal_conv(Tensor(u), weight, bias).data
+        for j in range(seq):
+            before = np.concatenate([np.zeros((batch, n_conv - 1, channels)), u[:, :j]], axis=1)
+            part = causal_conv(Tensor(u[:, j:]), weight, bias, history=Tensor(before[:, j:]))
+            assert np.array_equal(part.data, full[:, j:]), j
+
+
+def test_step_returns_a_new_state_and_leaves_its_input_alone():
+    rng = named_rng(0, "step-pure")
+    weights = init_ssm_params(TINY, rng)
+    x = rng.normal(size=(2, 5, 6))
+    with no_grad():
+        _, state = ssm_prefill(Tensor(x[:, :4]), weights, TINY)
+        conv_buf, h = state.conv_buf, state.h
+        saved = conv_buf.data.copy(), h.data.copy()
+        _, new = ssm_step(Tensor(x[:, 4]), weights, TINY, state)
+    assert new is not state
+    assert state.conv_buf is conv_buf and state.h is h
+    assert np.array_equal(conv_buf.data, saved[0]) and np.array_equal(h.data, saved[1])
+    assert not np.array_equal(new.h.data, saved[1])
+
+
+@pytest.mark.parametrize("seq", [1, 9])
+def test_prefill_conv_ring_is_its_own_copy(seq):
+    # a view would keep the whole (B, L + K - 1, C) prompt block alive
+    rng = named_rng(0, f"ring-{seq}")
+    weights = init_ssm_params(TINY, rng)
+    with no_grad():
+        _, state = ssm_prefill(Tensor(rng.normal(size=(2, seq, 6))), weights, TINY)
+    assert state.conv_buf.shape == (2, TINY.n_conv - 1, TINY.conv_channels)
+    assert state.conv_buf.data.base is None
