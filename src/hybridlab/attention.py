@@ -107,11 +107,12 @@ def attention_context(
     position-absolute).
 
     With a KV `cache` (`decode.FullKV` or `decode.RollingKV`), each key
-    is rotated once, at its own position, and written to the cache with
-    its value. An empty cache is filled from the whole sequence, which
-    attends under `mask` as usual; a filled one takes one token, whose
-    query attends over everything the cache holds with no mask (every
-    cached key is visible to it by construction).
+    is rotated once, at its own position, and the whole (B, L, ...)
+    block of keys and values is written with one `extend`. An empty
+    cache is filled from the whole sequence, which attends under `mask`
+    as usual; a filled one takes one token, whose query attends with no
+    mask over the `(k, v)` views `read` returns (every cached key is
+    visible to it by construction).
     """
     if x.ndim != 3:
         raise DimensionError(f"attention expects (batch, seq, d_model), got {x.shape}")
@@ -134,7 +135,7 @@ def attention_context(
     if cache is not None:
         cache.extend(k.data, v.data, positions)
     if step:
-        k, v, _ = cache.read()
+        k, v = cache.read()
         mask = None
     elif mask is None:
         mask = causal_mask(l)

@@ -17,6 +17,12 @@ Cache shapes per block:
   mamba   conv ring (n_conv - 1 raw channel rows) + per-head SSM state
   intra   full KV for the attention half + SSM state for the other
 
+Each KV cache keeps its keys and its values in one preallocated
+(B, slots, n_kv, d) buffer. `extend` is the only write: prefill writes
+its whole (B, L, ...) block in one slice assignment and a step writes
+one row. `read` returns views of the filled slots, valid until the
+next `extend`, so a step neither stacks nor copies the history.
+
 `DecodeState.cache_bytes()` measures the live caches at 2 bytes per
 element (the in-flight conv row counts toward the ring, matching the
 closed-form accounting in `costs`).
@@ -24,13 +30,11 @@ closed-form accounting in `costs`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig
 from .costs import CACHE_BYTES_PER_ELEMENT
-from .layout import LayoutSpec
 from .model import Block, HybridModel
 from .ssm import SsmState, init_ssm_state
 from .tensor import ContractError, Tensor, no_grad
@@ -41,35 +45,44 @@ from .tensor import ContractError, Tensor, no_grad
 # ---------------------------------------------------------------------------
 
 
+def _grown(buf: np.ndarray | None, filled: int, block: np.ndarray, slots: int) -> np.ndarray:
+    """A (B, slots, ...) buffer for `block`'s rows, holding buf's filled slots."""
+    out = np.empty((block.shape[0], slots) + block.shape[2:])
+    if filled:
+        out[:, :filled] = buf[:, :filled]
+    return out
+
+
 @dataclass
 class FullKV:
-    """Unbounded KV cache; keys stored already rotated."""
+    """Unbounded KV cache: slot j holds position j, key already rotated.
+
+    The buffer doubles when an `extend` would overflow it, so a decode
+    step writes one row in place and copies the history only
+    log2(L) times over L steps.
+    """
 
     n_kv: int
     d_qk: int
     d_v: int
-    ks: list[np.ndarray] = field(default_factory=list)   # each (B, n_kv, d_qk)
-    vs: list[np.ndarray] = field(default_factory=list)   # each (B, n_kv, d_v)
-    positions: list[int] = field(default_factory=list)
-
-    @property
-    def entries(self) -> int:
-        return len(self.ks)
-
-    def append(self, k_t: np.ndarray, v_t: np.ndarray, position: int) -> None:
-        self.ks.append(k_t)
-        self.vs.append(v_t)
-        self.positions.append(position)
+    entries: int = 0
+    k_buf: np.ndarray | None = None   # (B, slots, n_kv, d_qk)
+    v_buf: np.ndarray | None = None   # (B, slots, n_kv, d_v)
 
     def extend(self, k: np.ndarray, v: np.ndarray, positions: np.ndarray) -> None:
-        """Bulk append from a prefill pass; k (B, L, n_kv, d_qk)."""
-        for j, pos in enumerate(positions):
-            self.append(k[:, j], v[:, j], int(pos))
+        """Write a (B, L, n_kv, d) block after the filled slots."""
+        end = self.entries + k.shape[1]
+        if self.k_buf is None or end > self.k_buf.shape[1]:
+            slots = max(end, 2 * self.entries)
+            self.k_buf = _grown(self.k_buf, self.entries, k, slots)
+            self.v_buf = _grown(self.v_buf, self.entries, v, slots)
+        self.k_buf[:, self.entries : end] = k
+        self.v_buf[:, self.entries : end] = v
+        self.entries = end
 
-    def read(self) -> tuple[Tensor, Tensor, np.ndarray]:
-        k = Tensor(np.stack(self.ks, axis=1))
-        v = Tensor(np.stack(self.vs, axis=1))
-        return k, v, np.array(self.positions)
+    def read(self) -> tuple[Tensor, Tensor]:
+        """Views of the filled slots, valid until the next `extend`."""
+        return Tensor(self.k_buf[:, : self.entries]), Tensor(self.v_buf[:, : self.entries])
 
     def elems_per_sample(self) -> int:
         return self.entries * self.n_kv * (self.d_qk + self.d_v)
@@ -79,9 +92,9 @@ class FullKV:
 class RollingKV:
     """Sink + ring KV cache: occupancy is capped at window + sink.
 
-    Slot j holds position j while j < sink; later positions cycle
-    through the ring slots. Slot order is not position order, which is
-    fine: attention is a softmax over a key set, and each key was
+    Position p lives in slot p while p < sink, else in ring slot
+    sink + (p - sink) % window. Slot order is not position order, which
+    is fine: attention is a softmax over a key set, and each key was
     rotated at its own absolute position before it was written.
     """
 
@@ -91,9 +104,8 @@ class RollingKV:
     d_qk: int
     d_v: int
     count: int = 0
-    k_buf: np.ndarray | None = None
-    v_buf: np.ndarray | None = None
-    pos_buf: np.ndarray | None = None
+    k_buf: np.ndarray | None = None   # (B, window + sink, n_kv, d_qk)
+    v_buf: np.ndarray | None = None   # (B, window + sink, n_kv, d_v)
 
     @property
     def capacity(self) -> int:
@@ -103,34 +115,23 @@ class RollingKV:
     def entries(self) -> int:
         return min(self.count, self.capacity)
 
-    def _ensure(self, batch: int) -> None:
-        if self.k_buf is None:
-            self.k_buf = np.zeros((batch, self.capacity, self.n_kv, self.d_qk))
-            self.v_buf = np.zeros((batch, self.capacity, self.n_kv, self.d_v))
-            self.pos_buf = np.full(self.capacity, -1, dtype=np.int64)
-
-    def append(self, k_t: np.ndarray, v_t: np.ndarray, position: int) -> None:
-        self._ensure(k_t.shape[0])
-        if position < self.sink:
-            slot = position
-        else:
-            slot = self.sink + (position - self.sink) % self.window
-        self.k_buf[:, slot] = k_t
-        self.v_buf[:, slot] = v_t
-        self.pos_buf[slot] = position
-        self.count = position + 1
-
     def extend(self, k: np.ndarray, v: np.ndarray, positions: np.ndarray) -> None:
-        for j, pos in enumerate(positions):
-            self.append(k[:, j], v[:, j], int(pos))
+        """Write the sinks and the last `window` positions of a block."""
+        if self.k_buf is None:
+            self.k_buf = np.empty((k.shape[0], self.capacity, self.n_kv, self.d_qk))
+            self.v_buf = np.empty((k.shape[0], self.capacity, self.n_kv, self.d_v))
+        # the rest would be overwritten within this block: dropping them
+        # keeps every slot distinct in the one assignment
+        keep = (positions < self.sink) | (positions > positions[-1] - self.window)
+        p = positions[keep]
+        slots = np.where(p < self.sink, p, self.sink + (p - self.sink) % self.window)
+        self.k_buf[:, slots] = k[:, keep]
+        self.v_buf[:, slots] = v[:, keep]
+        self.count = int(positions[-1]) + 1
 
-    def read(self) -> tuple[Tensor, Tensor, np.ndarray]:
-        occ = self.entries
-        return (
-            Tensor(self.k_buf[:, :occ].copy()),
-            Tensor(self.v_buf[:, :occ].copy()),
-            self.pos_buf[:occ].copy(),
-        )
+    def read(self) -> tuple[Tensor, Tensor]:
+        """Views of the filled slots, valid until the next `extend`."""
+        return Tensor(self.k_buf[:, : self.entries]), Tensor(self.v_buf[:, : self.entries])
 
     def elems_per_sample(self) -> int:
         return self.entries * self.n_kv * (self.d_qk + self.d_v)
@@ -164,8 +165,6 @@ def _cache_elems(cache: BlockCache) -> int:
 class DecodeState:
     """Per-block caches plus the number of tokens consumed so far."""
 
-    cfg: ModelConfig
-    layout: LayoutSpec
     position: int
     caches: list[BlockCache]
 
@@ -204,7 +203,7 @@ def prefill(model: HybridModel, tokens: np.ndarray) -> tuple[DecodeState, Tensor
     caches = [_fresh_cache(block, tokens.shape[0]) for block in model.blocks]
     with no_grad():
         logits = model.forward(tokens, caches)
-    state = DecodeState(cfg=model.cfg, layout=model.layout, position=tokens.shape[1], caches=caches)
+    state = DecodeState(position=tokens.shape[1], caches=caches)
     return state, logits
 
 

@@ -18,8 +18,8 @@ Both are exactly causal; they agree to ~1e-12 at double precision and
 the tests pin that equivalence. There is one block path,
 `ssm_context` (plus norm and out projection in `ssm_forward`), with an
 optional decode state: a sequence runs the scan, and a single token
-against a state runs the fold. `ssm_prefill` and `ssm_step` are that
-path from a fresh state and on one token.
+against a state runs the fold. `ssm_step` is that path on one token;
+a prompt runs `ssm_forward` against `init_ssm_state`.
 
 The recurrent state per head is (d_head, d_state); its size does not
 depend on sequence length, which is the whole point.
@@ -353,18 +353,6 @@ def ssm_forward(
     if cfg.gated_norm:
         gated = rms_norm(gated, weights[f"{prefix}.norm.weight"])
     return matmul(gated, weights[f"{prefix}.out_proj"])
-
-
-def ssm_prefill(
-    x: Tensor,
-    weights: dict[str, Tensor],
-    cfg: SsmConfig,
-    chunk: int = 16,
-    prefix: str = "ssm",
-) -> tuple[Tensor, SsmState]:
-    """`ssm_forward` from a fresh state; also returns the state after x."""
-    state = init_ssm_state(cfg, batch=x.shape[0])
-    return ssm_forward(x, weights, cfg, chunk, prefix, state), state
 
 
 def ssm_step(

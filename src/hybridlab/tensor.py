@@ -171,18 +171,9 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # -- operator sugar (definitions below) ----------------------------
 
@@ -369,12 +360,6 @@ def softplus(a) -> Tensor:
     # log1p(exp(-|x|)) + max(x, 0) is exact and never overflows
     out = np.log1p(np.exp(-np.abs(a.data))) + np.maximum(a.data, 0.0)
     return _make("softplus", out, (a,), lambda g: (g * _sigmoid(a.data),))
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-    return _make("tanh", out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 # ---------------------------------------------------------------------------
@@ -721,10 +706,11 @@ def backward(loss: Tensor) -> None:
     """Accumulate dLoss/dT into `.grad` of every reachable leaf tensor.
 
     `loss` must be scalar. One reverse sweep over the tape; each node
-    reachable from the loss is applied exactly once. Only leaves (tensors
-    with no tape node, such as parameters) keep a `.grad`; an intermediate
-    gradient is dropped as soon as the sweep has passed its node.
-    `reset_tape` then frees the graph itself.
+    reachable from the loss is applied exactly once, and every other
+    node is skipped, since its output never receives a gradient. Only
+    leaves (tensors with no tape node, such as parameters) keep a
+    `.grad`; an intermediate gradient is dropped as soon as the sweep
+    has passed its node. `reset_tape` then frees the graph itself.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -733,21 +719,8 @@ def backward(loss: Tensor) -> None:
             loss.grad = np.ones_like(loss.data)
         return
 
-    reachable: set[int] = set()
-    stack = [loss.node]
-    while stack:
-        node = stack.pop()
-        if id(node) in reachable:
-            continue
-        reachable.add(id(node))
-        for t in node.inputs:
-            if t.node is not None and id(t.node) not in reachable:
-                stack.append(t.node)
-
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(_tape.nodes):
-        if id(node) not in reachable:
-            continue
         g_out = grads.pop(id(node.out), None)
         if g_out is None:
             continue

@@ -498,7 +498,7 @@ def _suite_costs() -> list[PropertyResult]:
 
 def _suite_decode() -> list[PropertyResult]:
     from .config import preset
-    from .decode import decode_step, prefill
+    from .decode import RollingKV, decode_step, prefill
     from .model import HybridModel
 
     out = []
@@ -528,7 +528,7 @@ def _suite_decode() -> list[PropertyResult]:
         state, _ = prefill(model, tokens)
         for _ in range(cfg.window + cfg.sink + 5):
             decode_step(model, state, 1)
-        ring = [c for c in state.caches if hasattr(c, "capacity")]
+        ring = [c for c in state.caches if isinstance(c, RollingKV)]
         occ = {c.entries for c in ring}
         return occ == {cfg.window + cfg.sink}, f"ring occupancy {occ}"
 

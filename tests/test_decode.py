@@ -79,27 +79,62 @@ def test_decode_step_advances_position():
     assert state.position == 4
 
 
+def _store_positions(kv, total, block, start=0):
+    """Extend `kv` with key = position, value = -position, `block` tokens at a time."""
+    for lo in range(start, total, block):
+        pos = np.arange(lo, min(lo + block, total))
+        k = np.broadcast_to(pos[None, :, None, None], (1, pos.size, 1, 2)).astype(np.float64)
+        kv.extend(k, -k, pos)
+
+
+def _held(kv):
+    ks, vs = kv.read()
+    assert np.array_equal(vs.data, -ks.data)
+    return ks.data[0, :, 0, 0].astype(int).tolist()
+
+
 def test_full_kv_stores_positions_in_order():
     kv = FullKV(n_kv=1, d_qk=2, d_v=2)
-    for p in range(4):
-        kv.append(np.full((1, 1, 2), p, dtype=np.float64), np.zeros((1, 1, 2)), p)
-    ks, vs, positions = kv.read()
-    assert kv.entries == 4
-    assert positions.tolist() == [0, 1, 2, 3]
-    assert ks.shape == (1, 4, 1, 2)
+    _store_positions(kv, 3, block=3)
+    _store_positions(kv, 9, block=1, start=3)
+    assert kv.entries == 9
+    assert _held(kv) == list(range(9))
+    assert kv.read()[0].shape == (1, 9, 1, 2)
 
 
-def test_rolling_kv_keeps_sinks_and_recycles_the_ring():
+def test_full_kv_keeps_earlier_entries_across_a_doubling():
+    kv = FullKV(n_kv=2, d_qk=3, d_v=4)
+    rng = named_rng(0, "kv-double")
+    kv.extend(rng.normal(size=(2, 5, 2, 3)), rng.normal(size=(2, 5, 2, 4)), np.arange(5))
+    slots = [kv.k_buf.shape[1]]
+    for p in range(5, 12):
+        before = [t.data.tobytes() for t in kv.read()]
+        kv.extend(rng.normal(size=(2, 1, 2, 3)), rng.normal(size=(2, 1, 2, 4)), np.array([p]))
+        ks, vs = kv.read()
+        assert ks.data[:, :p].tobytes() == before[0]
+        assert vs.data[:, :p].tobytes() == before[1]
+        slots.append(kv.k_buf.shape[1])
+    assert slots == [5] + [10] * 5 + [20] * 2
+
+
+@pytest.mark.parametrize("kind", ["full", "rolling"])
+def test_read_returns_views_of_the_cache_buffer(kind):
+    kv = FullKV(1, 2, 2) if kind == "full" else RollingKV(window=4, sink=2, n_kv=1, d_qk=2, d_v=2)
+    _store_positions(kv, 5, block=5)
+    _store_positions(kv, 9, block=1, start=5)
+    ks, vs = kv.read()
+    assert np.shares_memory(ks.data, kv.k_buf) and np.shares_memory(vs.data, kv.v_buf)
+
+
+@pytest.mark.parametrize("block", [1, 3, 11])
+def test_rolling_kv_keeps_sinks_and_recycles_the_ring(block):
     window, sink = 4, 2
     kv = RollingKV(window=window, sink=sink, n_kv=1, d_qk=2, d_v=2)
     total = 11
-    for p in range(total):
-        kv.append(np.full((1, 1, 2), p, dtype=np.float64), np.zeros((1, 1, 2)), p)
+    _store_positions(kv, total, block)
     assert kv.entries == kv.capacity == window + sink
-    _, _, positions = kv.read()
-    held = sorted(positions.tolist())
     # sinks stay forever; the ring holds the trailing window
-    assert held == [0, 1] + list(range(total - window, total))
+    assert sorted(_held(kv)) == [0, 1] + list(range(total - window, total))
 
 
 def test_rolling_kv_matches_visible_set_of_the_training_mask():
@@ -107,13 +142,12 @@ def test_rolling_kv_matches_visible_set_of_the_training_mask():
     window, sink = cfg.window, cfg.sink
     kv = RollingKV(window=window, sink=sink, n_kv=1, d_qk=2, d_v=2)
     L = 30
-    for p in range(L):
-        kv.append(np.zeros((1, 1, 2)), np.zeros((1, 1, 2)), p)
-    _, _, positions = kv.read()
-    # decode appends the query's own key before reading, so the cached
+    _store_positions(kv, 7, block=7)
+    _store_positions(kv, L, block=1, start=7)
+    # decode writes the query's own key before reading, so the cached
     # set is exactly the last training-mask row
     mask_row = hl.swa_mask(L, window, sink)[L - 1]
-    assert set(positions.tolist()) == set(np.nonzero(mask_row)[0].tolist())
+    assert set(_held(kv)) == set(np.nonzero(mask_row)[0].tolist())
 
 
 def test_greedy_generation_is_deterministic():

@@ -10,7 +10,6 @@ from hybridlab.ssm import (
     ssm_featurize,
     ssm_forward,
     ssm_param_shapes,
-    ssm_prefill,
     ssm_step,
 )
 from hybridlab.tensor import ContractError, Tensor, named_rng, no_grad, softplus
@@ -55,7 +54,8 @@ def test_prefill_state_continues_like_the_fold():
     weights = init_ssm_params(TINY, rng)
     x = rng.normal(size=(2, 9, 6))
     with no_grad():
-        y_pre, state_pre = ssm_prefill(Tensor(x[:, :6]), weights, TINY, chunk=4)
+        state_pre = init_ssm_state(TINY, batch=2)
+        y_pre = ssm_forward(Tensor(x[:, :6]), weights, TINY, chunk=4, state=state_pre)
         y_fold, state_fold = _fold(x[:, :6], weights, TINY)
         assert np.abs(y_pre.data - y_fold).max() < 1e-12
         assert np.abs(state_pre.h.data - state_fold.h.data).max() < 1e-12
@@ -174,7 +174,8 @@ def test_step_returns_a_new_state_and_leaves_its_input_alone():
     weights = init_ssm_params(TINY, rng)
     x = rng.normal(size=(2, 5, 6))
     with no_grad():
-        _, state = ssm_prefill(Tensor(x[:, :4]), weights, TINY)
+        state = init_ssm_state(TINY, batch=2)
+        ssm_forward(Tensor(x[:, :4]), weights, TINY, state=state)
         conv_buf, h = state.conv_buf, state.h
         saved = conv_buf.data.copy(), h.data.copy()
         _, new = ssm_step(Tensor(x[:, 4]), weights, TINY, state)
@@ -190,6 +191,7 @@ def test_prefill_conv_ring_is_its_own_copy(seq):
     rng = named_rng(0, f"ring-{seq}")
     weights = init_ssm_params(TINY, rng)
     with no_grad():
-        _, state = ssm_prefill(Tensor(rng.normal(size=(2, seq, 6))), weights, TINY)
+        state = init_ssm_state(TINY, batch=2)
+        ssm_forward(Tensor(rng.normal(size=(2, seq, 6))), weights, TINY, state=state)
     assert state.conv_buf.shape == (2, TINY.n_conv - 1, TINY.conv_channels)
     assert state.conv_buf.data.base is None

@@ -186,6 +186,24 @@ def test_backward_keeps_grads_on_leaves_only():
     reset_tape()
 
 
+def test_backward_leaves_an_independent_graph_on_the_tape_alone():
+    a = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+    b = Tensor(np.array([0.3, 0.7, -1.5]), requires_grad=True)
+    c = Tensor(np.array([2.0, 0.1, -0.4]), requires_grad=True)
+    d = Tensor(np.array([-1.0, 0.6, 1.2]), requires_grad=True)
+    # the two graphs interleave on the tape, and loss2's ops come last
+    prod1 = a * b
+    prod2 = c * d
+    loss1 = tsum(exp(prod1))
+    loss2 = tsum(exp(prod2) * c)
+    backward(loss1)
+    e = np.exp(a.data * b.data)
+    np.testing.assert_array_equal(a.grad, e * b.data)
+    np.testing.assert_array_equal(b.grad, e * a.data)
+    assert c.grad is None and d.grad is None and loss2.grad is None
+    reset_tape()
+
+
 @pytest.mark.parametrize("name", ["toy-inter", "toy-intra"])
 def test_reset_tape_leaves_no_cyclic_garbage(name):
     cfg, layout = preset(name)
