@@ -113,16 +113,19 @@ def params_non_embedding(layout: LayoutSpec, cfg: ModelConfig) -> int:
     return sum(block_params(spec, cfg) for spec in layout.blocks) + cfg.d_model
 
 
+def activated_block_params(spec: BlockSpec, cfg: ModelConfig) -> int:
+    """Weights one token runs through: MoE counts router + shared + one routed."""
+    total = block_params(spec, cfg)
+    if spec.moe:
+        moe = cfg.moe_cfg()
+        idle_experts = moe.n_experts - 1
+        total -= idle_experts * 3 * cfg.d_model * moe.d_ffn_expert
+    return total
+
+
 def activated_params_non_embedding(layout: LayoutSpec, cfg: ModelConfig) -> int:
-    """Per-token active weights: MoE counts router + shared + one routed."""
-    total = 0
-    for spec in layout.blocks:
-        total += block_params(spec, cfg)
-        if spec.moe:
-            moe = cfg.moe_cfg()
-            idle_experts = moe.n_experts - 1
-            total -= idle_experts * 3 * cfg.d_model * moe.d_ffn_expert
-    return total + cfg.d_model
+    """Per-token active weights of every block plus the final norm."""
+    return sum(activated_block_params(spec, cfg) for spec in layout.blocks) + cfg.d_model
 
 
 def closed_form_mixer_params(kind: str, cfg: ModelConfig) -> int:
@@ -202,8 +205,11 @@ def train_flops(layout: LayoutSpec, cfg: ModelConfig, seq_len: int, tokens: floa
 
 
 def decode_step_flops(spec: BlockSpec, cfg: ModelConfig, position: int) -> float:
-    """Forward-only op estimate for decoding one token at `position`."""
-    base = 2.0 * block_params(spec, cfg)
+    """Forward-only op estimate for decoding one token at `position`.
+
+    A MoE block is charged its activated weights, as in training.
+    """
+    base = 2.0 * activated_block_params(spec, cfg)
     d = cfg.d_model
     if spec.kind == "attn":
         return base + 4.0 * d * (position + 1)

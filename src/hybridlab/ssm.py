@@ -12,10 +12,14 @@ One block maps (batch, seq, d_model) -> (batch, seq, d_model):
   out_proj
 
 Two equivalent evaluation orders are provided: a token-by-token fold
-(`ssm_step_core`) and a chunked matrix form (`ssm_scan`) that rewrites
-each chunk as a masked score matrix plus a carried inter-chunk state.
-Both are exactly causal; they agree to ~1e-12 at double precision and
-the tests pin that equivalence. There is one block path,
+(`ssm_step_core`, composed of tape ops) and a chunked matrix form
+(`ssm_scan`). The scan is one fused op with an analytic backward, in
+the SSD form (Dao & Gu 2024): all chunks of a 64-token slab are
+evaluated at once as masked (chunk x chunk) score matrices, and only
+the state carried from chunk to chunk runs as a loop, forward and in
+reverse. `causal_conv` is one op as well. Both orders are exactly
+causal; they agree to ~1e-12 at double precision, in values and in
+gradients, and the tests pin that equivalence. There is one block path,
 `ssm_context` (plus norm and out projection in `ssm_forward`), with an
 optional decode state: a sequence runs the scan, and a single token
 against a state runs the fold. `ssm_step` is that path on one token;
@@ -32,19 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor
 from .nn import proj_init, rms_norm
-from .tensor import (
-    ContractError,
-    DimensionError,
-    Tensor,
-    concat,
-    cumsum,
-    exp,
-    matmul,
-    pad_front,
-    silu,
-    softplus,
-)
+from .tensor import ContractError, DimensionError, Tensor, exp, matmul, silu, softplus
 
 DT_INIT_RANGE = (0.001, 0.1)
 A_INIT_RANGE = (1.0, 16.0)
@@ -120,34 +114,35 @@ def init_ssm_params(cfg: SsmConfig, rng: np.random.Generator, prefix: str = "ssm
     return params
 
 
-def _repeat_groups(t: Tensor, rep: int) -> Tensor:
-    """(..., G, N) -> (..., G*rep, N) with each group repeated rep times."""
-    if rep == 1:
-        return t
-    *lead, g, n = t.shape
-    ones = Tensor(np.ones((1,) * len(lead) + (1, rep, 1)))
-    return (t.reshape(*lead, g, 1, n) * ones).reshape(*lead, g * rep, n)
-
-
 def causal_conv(u: Tensor, weight: Tensor, bias: Tensor, history: Tensor | None = None) -> Tensor:
-    """Depthwise causal conv along axis 1: u (B, L, C), weight (C, K).
+    """Depthwise causal conv along axis 1 as one op: u (B, L, C), weight (C, K).
 
     `history` (B, K - 1, C) holds the raw inputs just before u; None
-    means u starts the sequence, and zeros are used instead.
+    means u starts the sequence, and zeros are used instead. The
+    backward correlates the output gradient with the same taps.
     """
     channels, k = weight.shape
     if u.shape[-1] != channels:
         raise DimensionError(f"conv channels {channels} vs input {u.shape[-1]}")
-    seq = u.shape[1]
-    if history is None:
-        padded = pad_front(u, k - 1, axis=1)
-    else:
-        padded = concat([history, u], axis=1)
-    out = None
-    for tap in range(k):
-        term = padded[:, tap : tap + seq, :] * weight[:, tap]
-        out = term if out is None else out + term
-    return out + bias
+    b, seq = u.shape[0], u.shape[1]
+    front = np.zeros((b, k - 1, channels)) if history is None else history.data
+    padded = np.concatenate([front, u.data], axis=1)         # (B, K - 1 + L, C)
+    w = weight.data
+    out = padded[:, :seq] * w[:, 0]
+    for tap in range(1, k):
+        out += padded[:, tap : tap + seq] * w[:, tap]
+    out += bias.data
+
+    def bwd(g):
+        g_pad = np.zeros_like(padded)
+        g_w = np.empty_like(w)
+        for tap in range(k):
+            g_pad[:, tap : tap + seq] += g * w[:, tap]
+            g_w[:, tap] = np.einsum("blc,blc->c", g, padded[:, tap : tap + seq])
+        return g_pad[:, k - 1 :], g_w, g.sum(axis=(0, 1)), g_pad[:, : k - 1]
+
+    inputs = (u, weight, bias) if history is None else (u, weight, bias, history)
+    return tensor._make("causal_conv", out, inputs, bwd)
 
 
 def ssm_featurize(
@@ -156,44 +151,81 @@ def ssm_featurize(
     cfg: SsmConfig,
     prefix: str = "ssm",
     state: SsmState | None = None,
-) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor, Tensor]:
+) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:
     """in_proj + conv + SiLU + dt softplus for a whole sequence.
 
-    x: (B, L, d_model). Returns (z, xs, Bm, Cm, dt, conv_in) with shapes
-    (B, L, d_ssm), (B, L, H, P), (B, L, G, N), (B, L, G, N), (B, L, H),
-    (B, L, conv_channels); dt is post-softplus, conv_in is the raw
-    pre-conv channel block. With a decode `state`, the conv continues
-    from its ring, and the ring then moves on to the last n_conv - 1
-    raw inputs.
+    x: (B, L, d_model). Returns (z, xs, Bm, Cm, dt) with shapes
+    (B, L, d_ssm), (B, L, H, P), (B, L, G, N), (B, L, G, N), (B, L, H);
+    dt is post-softplus. Each block of in_proj columns is its own
+    matmul, and the conv runs on the x channels and on the B, C channels
+    as two blocks, so no full-width activation is sliced. With a decode
+    `state`, the conv continues from its ring, and the ring then moves
+    on to the last n_conv - 1 raw inputs.
     """
     if x.ndim != 3:
         raise DimensionError(f"ssm expects (batch, seq, d_model), got {x.shape}")
-    proj = matmul(x, weights[f"{prefix}.in_proj"])
+    w_in = weights[f"{prefix}.in_proj"]
+    conv_w, conv_b = weights[f"{prefix}.conv.weight"], weights[f"{prefix}.conv.bias"]
     d, gn, h = cfg.d_ssm, cfg.n_groups * cfg.d_state, cfg.n_heads
-    z = proj[:, :, :d]
-    conv_in = proj[:, :, d : 2 * d + 2 * gn]
-    dt_raw = proj[:, :, 2 * d + 2 * gn :]
-    history = None if state is None else state.conv_buf
-    conved = silu(causal_conv(
-        conv_in, weights[f"{prefix}.conv.weight"], weights[f"{prefix}.conv.bias"], history
-    ))
+    history = None if state is None else state.conv_buf.data
+    raw, conved = [], []
+    for lo, hi in ((0, d), (d, d + 2 * gn)):             # conv channels: x, then B and C
+        raw.append(matmul(x, w_in[:, d + lo : d + hi]))
+        hist = None if history is None else Tensor(history[:, :, lo:hi])
+        conved.append(silu(causal_conv(raw[-1], conv_w[lo:hi], conv_b[lo:hi], hist)))
     keep = cfg.n_conv - 1
     if state is not None and keep > 0:
-        recent = np.concatenate([history.data, conv_in.data[:, -keep:]], axis=1)
+        recent = np.concatenate([r.data[:, -keep:] for r in raw], axis=-1)
         # a copy, so the ring does not pin the whole prompt behind a view
-        state.conv_buf = Tensor(recent[:, -keep:].copy())
+        state.conv_buf = Tensor(np.concatenate([history, recent], axis=1)[:, -keep:].copy())
     b, l = x.shape[0], x.shape[1]
-    xs = conved[:, :, :d].reshape(b, l, h, cfg.d_head)
-    bm = conved[:, :, d : d + gn].reshape(b, l, cfg.n_groups, cfg.d_state)
-    cm = conved[:, :, d + gn :].reshape(b, l, cfg.n_groups, cfg.d_state)
-    dt = softplus(dt_raw + weights[f"{prefix}.dt_bias"])
-    return z, xs, bm, cm, dt, conv_in
+    z = matmul(x, w_in[:, :d])
+    xs = conved[0].reshape(b, l, h, cfg.d_head)
+    bm = conved[1][:, :, :gn].reshape(b, l, cfg.n_groups, cfg.d_state)
+    cm = conved[1][:, :, gn:].reshape(b, l, cfg.n_groups, cfg.d_state)
+    dt = softplus(matmul(x, w_in[:, 2 * d + 2 * gn :]) + weights[f"{prefix}.dt_bias"])
+    return z, xs, bm, cm, dt
 
 
-# decay exponents on masked (non-causal) score lanes are clamped here
-# before exp so the scratch never overflows; the lanes are then zeroed
-# exactly by the mask product.
-_MASK_CLAMP = 100.0
+# Tokens per scan slab. The scan walks the sequence in slabs of whole
+# chunks and carries the state across them, so its (B, H, n_chunks, C, C)
+# scratch never spans more than one slab; a size, not a knob.
+_SCAN_SLAB = 64
+
+# (B, n_chunks, C, ...) -> kernel layout, for x (.., G, rep, P), dt (.., G, rep)
+# and B, C (.., G, N): head h = (g, r) reads group g with no copy of B or C
+_X_PERM = (0, 3, 4, 1, 2, 5)    # -> (B, G, rep, nc, C, P)
+_DT_PERM = (0, 3, 4, 1, 2)      # -> (B, G, rep, nc, C)
+_BC_PERM = (0, 3, 1, 2, 4)      # -> (B, G, nc, C, N)
+
+
+def _to_chunks(a: np.ndarray, start: int, stop: int, chunk: int, perm: tuple) -> np.ndarray:
+    """Rows [start, stop) of a (B, L, ...) array in chunks of `chunk`, permuted by `perm`.
+
+    A partial last chunk is zero-padded: a zero dt leaves the state as it
+    is, and a zero x, B or C adds exactly nothing.
+    """
+    part = a[:, start:stop]
+    nc = -(-part.shape[1] // chunk)
+    pad = nc * chunk - part.shape[1]
+    if pad:
+        part = np.concatenate([part, np.zeros((part.shape[0], pad) + part.shape[2:])], axis=1)
+    part = part.reshape(part.shape[0], nc, chunk, *part.shape[2:])
+    return np.ascontiguousarray(part.transpose(perm))
+
+
+def _from_chunks(a: np.ndarray, perm: tuple, rows: int) -> np.ndarray:
+    """Inverse of `_to_chunks`: the first `rows` rows, as (B, rows, ...)."""
+    a = a.transpose(np.argsort(perm))
+    return a.reshape(a.shape[0], -1, *a.shape[3:])[:, :rows]
+
+
+def _mm(a: np.ndarray, b: np.ndarray, flip: bool) -> np.ndarray:
+    """The kernel's matmul; "flip-sign" negates its output, as for `tensor.matmul`."""
+    out = np.matmul(a, b)
+    if flip:
+        np.negative(out, out=out)
+    return out
 
 
 def ssm_scan(
@@ -207,57 +239,146 @@ def ssm_scan(
     chunk: int = 16,
     return_state: bool = False,
 ):
-    """Chunked causal scan. xs (B, L, H, P), dt (B, L, H), bm/cm (B, L, G, N).
+    """Chunked causal scan as one op. xs (B, L, H, P), dt (B, L, H), bm/cm (B, L, G, N).
 
-    Each chunk is evaluated as an intra-chunk masked score matrix plus
-    the decayed contribution of the carried state; the state is then
-    folded forward. Returns y (B, L, H, P) including the D skip, and
-    optionally the final state (B, H, P, N).
+    The SSD chunked form (Dao & Gu 2024, section 6). With s the per-chunk
+    cumulative log decay, each chunk's output is (C B^T * exp(s_i - s_j)
+    * dt_j) x over j <= i, for all chunks of a slab at once, plus the
+    state carried into the chunk, read out by C and decayed by exp(s_i).
+    Only the state recurrence across chunks is a loop; the backward runs
+    it in reverse. Returns y (B, L, H, P) including the D skip, and
+    optionally the final state (B, H, P, N), which under a recording tape
+    carries its own exact gradient.
     """
     if chunk < 1:
         raise ContractError("chunk size must be >= 1")
     b, l, h, p = xs.shape
-    n = bm.shape[-1]
-    rep = h // bm.shape[-2]
-    h_state = h0 if h0 is not None else Tensor(np.zeros((b, h, p, n)))
+    g, n = bm.shape[-2:]
+    rep = h // g
+    chunk = min(chunk, l)
+    slab = chunk * max(1, _SCAN_SLAB // chunk)
+    flip = tensor._chaos_mode == "flip-sign"
+    inputs = (xs, dt, bm, cm, a_log, d_skip) + (() if h0 is None else (h0,))
+    keep = tensor.default_tape().enabled and any(t.requires_grad for t in inputs)
 
-    decays = exp(a_log)                                   # (H,)
-    pieces = []
-    for start in range(0, l, chunk):
-        cn = min(chunk, l - start)
-        sl = slice(start, start + cn)
-        x_c = xs[:, sl].swapaxes(1, 2)                    # (B, H, Cn, P)
-        dt_c = dt[:, sl].swapaxes(1, 2)                   # (B, H, Cn)
-        b_c = _repeat_groups(bm[:, sl], rep).swapaxes(1, 2)   # (B, H, Cn, N)
-        c_c = _repeat_groups(cm[:, sl], rep).swapaxes(1, 2)   # (B, H, Cn, N)
+    decay = np.exp(a_log.data).reshape(g, rep, 1, 1)
+    d_eye = d_skip.data.reshape(g, rep, 1, 1, 1) * np.eye(chunk)
+    x_all = xs.data.reshape(b, l, g, rep, p)
+    dt_all = dt.data.reshape(b, l, g, rep)
+    lower = np.tri(chunk, dtype=bool)
+    y = np.empty(xs.shape)
+    state = np.zeros((b, g, rep, p, n)) if h0 is None else h0.data.reshape(b, g, rep, p, n)
+    slabs = []
+    for start in range(0, l, slab):
+        stop = min(start + slab, l)
+        xc = _to_chunks(x_all, start, stop, chunk, _X_PERM)
+        dtc = _to_chunks(dt_all, start, stop, chunk, _DT_PERM)
+        bc = _to_chunks(bm.data, start, stop, chunk, _BC_PERM)
+        cc = _to_chunks(cm.data, start, stop, chunk, _BC_PERM)
 
-        alpha = -(dt_c * decays.reshape(1, h, 1))         # log per-step decay, <= 0
-        s_cum = cumsum(alpha, axis=2)                     # (B, H, Cn)
-        s_col = s_cum.reshape(b, h, cn, 1)
-        s_row = s_cum.reshape(b, h, 1, cn)
+        s = np.cumsum(-dtc * decay, axis=-1)                     # <= 0, falling
+        # exp(s_i - s_j) on j <= i; the exponents above the diagonal are never
+        # formed, and exp(-inf) makes those lanes exactly 0
+        lmat = np.full(s.shape + (chunk,), -np.inf)
+        np.subtract(s[..., :, None], s[..., None, :], out=lmat, where=lower)
+        np.exp(lmat, out=lmat)
+        scores = _mm(cc, bc.swapaxes(-1, -2), flip)              # (B, G, nc, C, C)
+        w = lmat * dtc[..., None, :]                             # (B, G, rep, nc, C, C)
+        w *= scores[:, :, None]
+        w += d_eye                                               # the D skip: y = (w + D I) x
+        y_c = _mm(w, xc, flip)
 
-        mask = np.tril(np.ones((cn, cn)))
-        gap = (s_col - s_row) * mask - _MASK_CLAMP * (1.0 - mask)
-        decay_mat = exp(gap) * mask                       # exactly 0 above diagonal
+        to_end = np.exp(s[..., -1:] - s)                         # decay to the chunk end
+        wend = to_end * dtc
+        v = wend[..., None] * bc[:, :, None]                     # (B, G, rep, nc, C, N)
+        delta = _mm(xc.swapaxes(-1, -2), v, flip)                # (B, G, rep, nc, P, N)
+        a_end = np.exp(s[..., -1])
+        entry_k = np.empty((delta.shape[3],) + state.shape)      # state entering each chunk
+        for k in range(len(entry_k)):
+            entry_k[k] = state
+            state = a_end[..., k, None, None] * state + delta[:, :, :, k]
+        entry = np.moveaxis(entry_k, 0, 3)                       # (B, G, rep, nc, P, N)
+        es = np.exp(s)[..., None]
+        read = _mm(cc[:, :, None], entry.swapaxes(-1, -2), flip)
+        read *= es
+        y_c += read
+        y[:, start:stop] = _from_chunks(y_c, _X_PERM, stop - start).reshape(b, -1, h, p)
+        if keep:
+            slabs.append((start, stop, xc, dtc, bc, cc, lmat, scores, w,
+                          to_end, wend, v, a_end, entry_k, es))
+    final = state.reshape(b, h, p, n)
 
-        scores = matmul(c_c, b_c.swapaxes(-1, -2))        # (B, H, Cn, Cn)
-        m = scores * decay_mat * dt_c.reshape(b, h, 1, cn)
-        y_intra = matmul(m, x_c)                          # (B, H, Cn, P)
+    def bwd(gy, g_final):
+        gx_all, gdt_all = np.empty(xs.shape), np.empty(dt.shape)
+        gb_all, gc_all = np.empty(bm.shape), np.empty(cm.shape)
+        g_decay, g_d = np.zeros((g, rep)), np.zeros((g, rep))
+        carry = np.zeros((b, g, rep, p, n)) if g_final is None else g_final.reshape(b, g, rep, p, n)
+        gy_all = gy.reshape(b, l, g, rep, p)
+        for saved in reversed(slabs):
+            start, stop, xc, dtc, bc, cc, lmat, scores, w, to_end, wend, v, a_end, entry_k, es = saved
+            rows = stop - start
+            gyc = _to_chunks(gy_all, start, stop, chunk, _X_PERM)
+            entry = np.moveaxis(entry_k, 0, 3)
+            # readout: y += exp(s) * (C entry^T)
+            g_read = gyc * es
+            g_ce = _mm(g_read, entry, flip)                      # (B, G, rep, nc, C, N)
+            g_s = np.einsum("bgrkcn,bgkcn->bgrkc", g_ce, cc)
+            g_cc = g_ce.sum(axis=2)
+            g_entry = _mm(g_read.swapaxes(-1, -2), cc[:, :, None], flip)
+            # intra-chunk and skip: y = (w + D I) x, w = scores * exp(s_i - s_j) * dt_j
+            gx = _mm(w.swapaxes(-1, -2), gyc, flip)
+            g_w = _mm(gyc, xc.swapaxes(-1, -2), flip)
+            g_d += np.einsum("bgrkii->gr", g_w)
+            g_w *= lmat                                          # d/d(scores * dt_j)
+            g_scores = np.einsum("bgrkij,bgrkj->bgkij", g_w, dtc)
+            g_w *= scores[:, :, None]                            # d/d dt_j, before the sum over i
+            g_dt = g_w.sum(axis=-2)
+            # d/d s_i - d/d s_j of exp(s_i - s_j), with g_w * w summed over j and over i
+            g_s += np.einsum("bgrkij,bgrkj->bgrki", g_w, dtc)
+            g_s -= g_dt * dtc
+            g_cc += _mm(g_scores, bc, flip)
+            g_bc = _mm(g_scores.swapaxes(-1, -2), cc, flip)
+            # recurrence in reverse: entry[k + 1] = a_end[k] * entry[k] + delta[k]
+            g_delta = np.empty_like(entry_k)
+            g_end = np.empty(a_end.shape[-1:] + a_end.shape[:-1])
+            for k in reversed(range(len(entry_k))):
+                g_delta[k] = carry
+                g_end[k] = np.einsum("bgrpn,bgrpn->bgr", carry, entry_k[k])
+                carry = carry * a_end[..., k, None, None]
+                carry += g_entry[:, :, :, k]
+            g_end = np.moveaxis(g_end, 0, -1) * a_end            # d/d s at each chunk end
+            g_delta = np.moveaxis(g_delta, 0, 3)
+            # delta = x^T v, v = exp(s_end - s) * dt * B
+            gx += _mm(v, g_delta.swapaxes(-1, -2), flip)
+            g_v = _mm(xc, g_delta, flip)                         # (B, G, rep, nc, C, N)
+            g_bc += np.einsum("bgrkcn,bgrkc->bgkcn", g_v, wend)
+            g_wend = np.einsum("bgrkcn,bgkcn->bgrkc", g_v, bc)
+            g_dt += g_wend * to_end
+            q_end = g_wend * wend
+            g_end += q_end.sum(axis=-1)
+            g_s -= q_end
+            g_s[..., -1] += g_end
+            # s = cumsum(-dt * A): one reverse cumsum, then the product rule
+            g_alpha = np.cumsum(g_s[..., ::-1], axis=-1)[..., ::-1]
+            g_dt -= decay * g_alpha
+            g_decay -= np.einsum("bgrkc,bgrkc->gr", dtc, g_alpha)
+            gx_all[:, start:stop] = _from_chunks(gx, _X_PERM, rows).reshape(b, rows, h, p)
+            gdt_all[:, start:stop] = _from_chunks(g_dt, _DT_PERM, rows).reshape(b, rows, h)
+            gb_all[:, start:stop] = _from_chunks(g_bc, _BC_PERM, rows)
+            gc_all[:, start:stop] = _from_chunks(g_cc, _BC_PERM, rows)
+        g_a_log = (g_decay * decay[..., 0, 0]).reshape(h)
+        return gx_all, gdt_all, gb_all, gc_all, g_a_log, g_d.reshape(h), carry.reshape(b, h, p, n)
 
-        y_state = exp(s_cum).reshape(b, h, cn, 1) * matmul(c_c, h_state.swapaxes(-1, -2))
-
-        s_last = s_cum[:, :, cn - 1 : cn]                 # (B, H, 1)
-        w_end = exp(s_last - s_cum) * dt_c                # (B, H, Cn)
-        h_in = matmul(x_c.swapaxes(-1, -2), w_end.reshape(b, h, cn, 1) * b_c)
-        h_state = exp(s_last).reshape(b, h, 1, 1) * h_state + h_in
-
-        y_c = y_intra + y_state + x_c * d_skip.reshape(1, h, 1, 1)
-        pieces.append(y_c.swapaxes(1, 2))                 # (B, Cn, H, P)
-
-    y = pieces[0] if len(pieces) == 1 else concat(pieces, axis=1)
-    if return_state:
-        return y, h_state
-    return y
+    if not return_state:
+        return tensor._make("ssm_scan", y, inputs, lambda gy: bwd(gy, None))
+    if not keep:
+        return tensor._make("ssm_scan", y, inputs, None), Tensor(final)
+    # one node for both outputs: y and the state are read back as slices of it
+    packed = tensor._make(
+        "ssm_scan", np.concatenate([y.ravel(), final.ravel()]), inputs,
+        lambda gp: bwd(gp[: y.size], gp[y.size :]),
+    )
+    return packed[: y.size].reshape(y.shape), packed[y.size :].reshape(final.shape)
 
 
 def ssm_step_core(
@@ -275,15 +396,15 @@ def ssm_step_core(
     Returns (y_t (B, H, P), new state).
     """
     b, h, p = x_t.shape
-    rep = h // b_t.shape[-2]
-    b_h = _repeat_groups(b_t, rep)                        # (B, H, N)
-    c_h = _repeat_groups(c_t, rep)
+    g, n = b_t.shape[-2:]
+    rep = h // g
     a_bar = exp(-(dt_t * exp(a_log)))                     # (B, H)
-    inject = dt_t.reshape(b, h, 1, 1) * (
-        x_t.reshape(b, h, p, 1) * b_h.reshape(b, h, 1, -1)
+    # head h = (g, r) reads group g: the groups broadcast over a (B, G, rep, ...) view
+    inject = dt_t.reshape(b, g, rep, 1, 1) * (
+        x_t.reshape(b, g, rep, p, 1) * b_t.reshape(b, g, 1, 1, n)
     )
-    h_new = a_bar.reshape(b, h, 1, 1) * h_state + inject
-    y = matmul(h_new, c_h.reshape(b, h, -1, 1)).reshape(b, h, p)
+    h_new = a_bar.reshape(b, h, 1, 1) * h_state + inject.reshape(b, h, p, n)
+    y = matmul(h_new.reshape(b, g, rep, p, n), c_t.reshape(b, g, 1, n, 1)).reshape(b, h, p)
     return y + x_t * d_skip.reshape(1, h, 1), h_new
 
 
@@ -316,7 +437,7 @@ def ssm_context(
     is advanced in place to the end of the sequence. One token against
     a state runs `ssm_step_core`, the fold the scan is tested against.
     """
-    z, xs, bm, cm, dt, _ = ssm_featurize(x, weights, cfg, prefix, state)
+    z, xs, bm, cm, dt = ssm_featurize(x, weights, cfg, prefix, state)
     a_log, d_skip = weights[f"{prefix}.A_log"], weights[f"{prefix}.D"]
     b, l = x.shape[0], x.shape[1]
     if state is None:

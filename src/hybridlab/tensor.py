@@ -19,14 +19,16 @@ desk-scale clarity and exact reproducibility, not throughput:
   bit-identical results across runs and platforms.
 
 The op set is deliberately small: broadcasting arithmetic, batched
-matmul, reductions, cumsum, shape surgery, the handful of activations
+matmul, reductions, shape surgery, the handful of activations
 the models need, and fused softmax / masked-softmax / cross-entropy
 kernels with analytic backward rules. The fused attention kernel
 (`attention_core`) takes grouped-head q, k, v and an optional mask and
 records one node: it walks the queries in fixed tiles, scores each tile
 only against keys up to its last visible column, and never holds the
 full (B, H, L, L) score matrix. Gradients for broadcast operands are
-reduced back to the operand shape.
+reduced back to the operand shape. Kernels outside this module (the
+SSM's chunked scan and causal conv) record their one node through
+`_make` too, and honour `set_chaos` the same way.
 """
 
 from __future__ import annotations
@@ -363,7 +365,7 @@ def softplus(a) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# matmul, reductions, cumsum
+# matmul, reductions
 # ---------------------------------------------------------------------------
 
 
@@ -420,18 +422,6 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make("mean", np.asarray(out), (a,), bwd)
 
 
-def cumsum(a, axis: int) -> Tensor:
-    a = as_tensor(a)
-    ax = axis % a.ndim
-    out = np.cumsum(a.data, axis=ax)
-
-    def bwd(g):
-        rev = np.flip(g, axis=ax)
-        return (np.flip(np.cumsum(rev, axis=ax), axis=ax),)
-
-    return _make("cumsum", out, (a,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # shape surgery
 # ---------------------------------------------------------------------------
@@ -477,23 +467,6 @@ def concat(tensors, axis: int) -> Tensor:
         return tuple(np.ascontiguousarray(p) for p in np.split(g, offsets, axis=ax))
 
     return _make("concat", out, tensors, bwd)
-
-
-def pad_front(a, count: int, axis: int) -> Tensor:
-    """Zero-pad `count` entries at the start of `axis` (causal conv helper)."""
-    a = as_tensor(a)
-    if count < 0:
-        raise ContractError("pad_front needs count >= 0")
-    if count == 0:
-        return a
-    ax = axis % a.ndim
-    width = [(0, 0)] * a.ndim
-    width[ax] = (count, 0)
-    out = np.pad(a.data, width)
-    sl = [slice(None)] * a.ndim
-    sl[ax] = slice(count, None)
-    sl = tuple(sl)
-    return _make("pad_front", out, (a,), lambda g: (np.ascontiguousarray(g[sl]),))
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,19 @@ def test_decode_flops_attention_grows_mamba_does_not():
     assert decode_step_flops(mamba, cfg, 100) == decode_step_flops(mamba, cfg, 10)
 
 
+@pytest.mark.parametrize("kind", ["attn", "mamba"])
+def test_decode_flops_charge_a_moe_block_its_activated_weights(kind):
+    # shared + one routed expert cost one dense FFN, so MoE adds only the router;
+    # charging every routed expert gave 407,920 for a toy mamba block at position 100
+    cfg, _ = preset("toy-inter")
+    moe = cfg.moe_cfg()
+    dense = decode_step_flops(BlockSpec(kind), cfg, 100)
+    routed = decode_step_flops(BlockSpec(kind, moe=True), cfg, 100)
+    assert routed == dense + 2 * cfg.d_model * moe.n_experts
+    if kind == "mamba":
+        assert (dense, routed) == (148_848, 149_872)
+
+
 def test_uniform_stack_costs_are_depth_linear():
     cfg, _ = preset("toy-llama")
     one = uniform_layout(1, BlockSpec("attn"))

@@ -1,8 +1,15 @@
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gradcheck import fd_grad_check
 from hybridlab import moe
+from hybridlab.config import preset, with_vocab
+from hybridlab.harness import TrainConfig, copy_batch_fn, train_model
+from hybridlab.layout import LayoutSpec
+from hybridlab.model import HybridModel
 from hybridlab.moe import (
     MoeConfig,
     RouterState,
@@ -188,3 +195,31 @@ def test_each_expert_sees_only_its_own_rows(monkeypatch):
             ye = siglu_ffn(row, *(weights[f"moe.expert{e}.{p}"] for p in ("gate", "up", "down"))).data[0]
             want = want + scores[t, e] * ye
             assert np.abs(out.data.reshape(tokens, 6)[t] - want).max() < 1e-12
+
+
+def test_toy_inter_moe_trains_stably_on_the_copy_task():
+    # toy-inter with the MoE FFN on every block, trained as the benchmark trains it;
+    # train_model raises on the first non-finite loss
+    t0 = time.monotonic()
+    cfg, layout = preset("toy-inter")
+    layout = LayoutSpec(tuple(replace(b, moe=True) for b in layout.blocks))
+    model = HybridModel(with_vocab(cfg, 32), layout, seed=0)
+    batch, seq, steps = 8, 64, 120
+    loads = []
+    feed = copy_batch_fn(vocab=32, seq_len=seq)
+
+    def batch_fn(rng, n):
+        loads.append([blk.moe_state.last_load.copy() for blk in model.blocks])  # previous step's
+        return feed(rng, n)
+
+    result = train_model(model, batch_fn, TrainConfig(steps=steps, batch=batch, lr=3e-3, seed=0))
+    loads = np.array(loads[1:] + [[blk.moe_state.last_load for blk in model.blocks]])
+    assert np.isfinite(result.losses).all()
+    assert result.losses[-20:].mean() < result.losses[:20].mean()
+    # every step routes each token to exactly one expert in every block
+    assert (loads.sum(axis=-1) == batch * seq).all()
+    # the balance loop runs in training: the busiest expert's bias sits below the idlest's
+    for blk, total in zip(model.blocks, loads.sum(axis=0)):
+        bias = blk.moe_state.expert_bias
+        assert bias[np.argmax(total)] < bias[np.argmin(total)]
+    assert time.monotonic() - t0 < 60.0

@@ -10,9 +10,22 @@ from hybridlab.ssm import (
     ssm_featurize,
     ssm_forward,
     ssm_param_shapes,
+    ssm_scan,
     ssm_step,
+    ssm_step_core,
 )
-from hybridlab.tensor import ContractError, Tensor, named_rng, no_grad, softplus
+from hybridlab.tensor import (
+    ContractError,
+    Tensor,
+    backward,
+    concat,
+    named_rng,
+    no_grad,
+    reset_tape,
+    set_chaos,
+    softplus,
+    tsum,
+)
 
 TINY = SsmConfig(d_model=6, d_ssm=8, d_head=4, d_state=4, n_conv=3, n_groups=1)
 
@@ -84,7 +97,7 @@ def test_decay_factors_live_in_unit_interval():
     weights = init_ssm_params(TINY, rng)
     x = rng.normal(size=(1, 12, 6))
     with no_grad():
-        _, _, _, _, dt, _ = ssm_featurize(Tensor(x), weights, TINY)
+        _, _, _, _, dt = ssm_featurize(Tensor(x), weights, TINY)
         a_bar = np.exp(-dt.data * np.exp(weights["ssm.A_log"].data))
     assert (a_bar > 0).all() and (a_bar <= 1).all()
 
@@ -94,7 +107,7 @@ def test_dt_is_softplus_positive():
     weights = init_ssm_params(TINY, rng)
     x = rng.normal(size=(1, 5, 6)) * 10
     with no_grad():
-        _, _, _, _, dt, _ = ssm_featurize(Tensor(x), weights, TINY)
+        _, _, _, _, dt = ssm_featurize(Tensor(x), weights, TINY)
     assert (dt.data > 0).all()
 
 
@@ -195,3 +208,153 @@ def test_prefill_conv_ring_is_its_own_copy(seq):
         ssm_forward(Tensor(rng.normal(size=(2, seq, 6))), weights, TINY, state=state)
     assert state.conv_buf.shape == (2, TINY.n_conv - 1, TINY.conv_channels)
     assert state.conv_buf.data.base is None
+
+
+# ---------------------------------------------------------------------------
+# the fused scan and conv kernels, against finite differences and the fold
+# ---------------------------------------------------------------------------
+
+SCAN_INPUTS = ("xs", "dt", "bm", "cm", "A_log", "D", "h0")
+
+
+def _scan_inputs(seed, b, l, h, g, p, n):
+    rng = named_rng(seed, f"scan-inputs-{b}-{l}-{h}-{g}-{p}-{n}")
+    arrays = {
+        "xs": rng.normal(size=(b, l, h, p)),
+        "dt": rng.uniform(0.05, 0.6, size=(b, l, h)),
+        "bm": rng.normal(size=(b, l, g, n)),
+        "cm": rng.normal(size=(b, l, g, n)),
+        "A_log": np.log(rng.uniform(0.5, 4.0, size=h)),
+        "D": rng.normal(size=h),
+        "h0": rng.normal(size=(b, h, p, n)),
+    }
+    weights = {"y": rng.normal(size=(b, l, h, p)), "state": rng.normal(size=(b, h, p, n))}
+    return {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}, weights
+
+
+def _scan_loss(t, weights, chunk, with_state):
+    args = (t["xs"], t["dt"], t["bm"], t["cm"], t["A_log"], t["D"])
+    if not with_state:
+        return tsum(ssm_scan(*args, chunk=chunk) * weights["y"])
+    y, state = ssm_scan(*args, h0=t["h0"], chunk=chunk, return_state=True)
+    return tsum(y * weights["y"]) + tsum(state * weights["state"])
+
+
+def _fold_scan(t, state):
+    """The scan's inputs folded token by token by `ssm_step_core`: (y, final state)."""
+    b, l, h, p = t["xs"].shape
+    rows = []
+    for i in range(l):
+        y_t, state = ssm_step_core(
+            t["xs"][:, i], t["dt"][:, i], t["bm"][:, i], t["cm"][:, i], t["A_log"], t["D"], state
+        )
+        rows.append(y_t.reshape(b, 1, h, p))
+    return concat(rows, axis=1), state
+
+
+def _fold_loss(t, weights, with_state):
+    b, _, h, p = t["xs"].shape
+    zeros = Tensor(np.zeros((b, h, p, t["bm"].shape[-1])))
+    y, state = _fold_scan(t, t["h0"] if with_state else zeros)
+    loss = tsum(y * weights["y"])
+    return loss + tsum(state * weights["state"]) if with_state else loss
+
+
+# (batch, seq, heads, groups, d_head, d_state, chunk): chunk 1, chunk >= seq,
+# a partial last chunk, two groups, and runs longer than one 64-token slab
+SCAN_CASES = [
+    (2, 5, 2, 1, 3, 2, 1),
+    (1, 7, 2, 1, 2, 3, 16),
+    (2, 8, 2, 1, 2, 2, 3),
+    (1, 9, 4, 2, 2, 3, 4),
+    (1, 70, 2, 1, 2, 2, 8),
+    (1, 131, 4, 2, 1, 2, 5),
+]
+
+
+@pytest.mark.parametrize("with_state", [False, True])
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_scan_gradients_match_finite_differences(case, with_state):
+    b, l, h, g, p, n, chunk = case
+    t, weights = _scan_inputs(0, b, l, h, g, p, n)
+    params = {k: v for k, v in t.items() if with_state or k != "h0"}
+    fd_grad_check(lambda: _scan_loss(t, weights, chunk, with_state), params,
+                  named_rng(1, f"scan-fd-{case}"), coords_per_tensor=4)
+
+
+@pytest.mark.parametrize("with_state", [False, True])
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_scan_gradients_equal_the_fold_on_the_tape(case, with_state):
+    b, l, h, g, p, n, chunk = case
+    t, weights = _scan_inputs(2, b, l, h, g, p, n)
+    grads = []
+    for loss_fn in (lambda: _scan_loss(t, weights, chunk, with_state),
+                    lambda: _fold_loss(t, weights, with_state)):
+        reset_tape()
+        for v in t.values():
+            v.grad = None
+        loss = loss_fn()
+        backward(loss)
+        grads.append({k: v.grad for k, v in t.items() if v.grad is not None})
+    scan, fold = grads
+    assert set(scan) == set(fold) == set(SCAN_INPUTS) - ({"h0"} if not with_state else set())
+    for k in scan:
+        assert np.abs(scan[k] - fold[k]).max() <= 1e-10, k
+
+
+def test_scan_state_carries_an_exact_gradient_under_a_recording_tape():
+    # the returned state is part of the scan's node: its gradient reaches every input
+    t, weights = _scan_inputs(3, 1, 6, 2, 1, 2, 2)
+    y, state = ssm_scan(t["xs"], t["dt"], t["bm"], t["cm"], t["A_log"], t["D"],
+                        h0=t["h0"], chunk=4, return_state=True)
+    assert y.requires_grad and state.requires_grad
+    backward(tsum(state * weights["state"]))
+    assert all(t[k].grad is not None and np.abs(t[k].grad).max() > 0
+               for k in ("xs", "dt", "bm", "A_log", "h0"))
+    fd_grad_check(lambda: _scan_loss(t, {"y": weights["y"] * 0.0, "state": weights["state"]}, 4, True),
+                  t, named_rng(4, "state-fd"), coords_per_tensor=4)
+
+
+def test_scan_masked_lanes_never_overflow():
+    # decays this steep put exp(s_i - s_j) far above the float range above the diagonal
+    t, _ = _scan_inputs(5, 1, 40, 2, 1, 2, 2)
+    dt = Tensor(np.full((1, 40, 2), 30.0))
+    a_log = Tensor(np.log(np.array([40.0, 60.0])))
+    with no_grad(), np.errstate(over="raise"):
+        y = ssm_scan(t["xs"], dt, t["bm"], t["cm"], a_log, t["D"], chunk=40)
+    assert np.isfinite(y.data).all()
+
+
+def test_flip_sign_reaches_the_fused_scan():
+    t, _ = _scan_inputs(6, 1, 10, 2, 1, 2, 3)
+    args = (t["xs"], t["dt"], t["bm"], t["cm"], t["A_log"], t["D"])
+    with no_grad():
+        fold = _fold_scan(t, t["h0"])[0].data
+        clean, _ = ssm_scan(*args, h0=t["h0"], chunk=4, return_state=True)
+        assert np.abs(clean.data - fold).max() < 1e-12
+        set_chaos("flip-sign")
+        flipped, _ = ssm_scan(*args, h0=t["h0"], chunk=4, return_state=True)
+        fold_flipped = _fold_scan(t, t["h0"])[0].data
+    # the fault moves the scan off the clean fold, and off the faulted fold too
+    assert np.abs(flipped.data - fold).max() > 1e-3
+    assert np.abs(flipped.data - fold_flipped).max() > 1e-3
+
+
+@pytest.mark.parametrize("n_conv, with_history", [(1, False), (3, False), (3, True), (4, True)])
+def test_conv_gradients_match_finite_differences(n_conv, with_history):
+    rng = named_rng(0, f"conv-fd-{n_conv}-{with_history}")
+    batch, seq, channels = 2, 6, 3
+    params = {
+        "u": Tensor(rng.normal(size=(batch, seq, channels)), requires_grad=True),
+        "weight": Tensor(rng.normal(size=(channels, n_conv)), requires_grad=True),
+        "bias": Tensor(rng.normal(size=channels), requires_grad=True),
+    }
+    if with_history:
+        params["history"] = Tensor(rng.normal(size=(batch, n_conv - 1, channels)), requires_grad=True)
+    r = rng.normal(size=(batch, seq, channels))
+
+    def loss_fn():
+        out = causal_conv(params["u"], params["weight"], params["bias"], params.get("history"))
+        return tsum(out * out * r)
+
+    fd_grad_check(loss_fn, params, named_rng(1, f"conv-fd-{n_conv}"), coords_per_tensor=5)
