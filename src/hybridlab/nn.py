@@ -19,12 +19,10 @@ from .tensor import (
     ContractError,
     DimensionError,
     Tensor,
-    concat,
     matmul,
-    silu,
-    sqrt,
-    square,
-    tmean,
+    normalize_lastdim,
+    rope_rotate,
+    silu_mul,
 )
 
 NORM_EPS = 1e-5
@@ -56,32 +54,28 @@ def proj_init(rng: np.random.Generator, d_in: int, d_out: int) -> Tensor:
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float = NORM_EPS) -> Tensor:
-    """x * rsqrt(mean(x^2) + eps) * weight over the last dim."""
+    """x * rsqrt(mean(x^2) + eps) * weight over the last dim, as one op."""
     if weight.shape != (x.shape[-1],):
         raise DimensionError(f"rms_norm weight {weight.shape} vs features {x.shape[-1]}")
-    ms = tmean(square(x), axis=-1, keepdims=True)
-    return x / sqrt(ms + eps) * weight
+    return normalize_lastdim(x, weight, eps)
 
 
 def group_norm_per_head(x: Tensor, weight: Tensor, eps: float = NORM_EPS) -> Tensor:
     """Zero-mean unit-variance per (position, head) with per-head affine.
 
     x: (..., n_heads, head_dim); weight: (n_heads, head_dim). A constant
-    head normalizes to zeros (variance floor eps), never to NaN.
+    head normalizes to zeros (variance floor eps), never to NaN. One op.
     """
     if x.ndim < 2:
         raise DimensionError("group_norm_per_head needs (..., heads, head_dim)")
     if weight.shape != x.shape[-2:]:
         raise DimensionError(f"group norm weight {weight.shape} vs heads {x.shape[-2:]}")
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = x - mu
-    var = tmean(square(centered), axis=-1, keepdims=True)
-    return centered / sqrt(var + eps) * weight
+    return normalize_lastdim(x, weight, eps, center=True)
 
 
 def siglu_ffn(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
-    """down( silu(x @ gate) * (x @ up) )."""
-    return matmul(silu(matmul(x, w_gate)) * matmul(x, w_up), w_down)
+    """down( silu(x @ gate) * (x @ up) ), the gate fused into one op."""
+    return matmul(silu_mul(matmul(x, w_gate), matmul(x, w_up)), w_down)
 
 
 def ffn_param_shapes(cfg: FFNConfig, prefix: str = "ffn") -> dict[str, tuple[int, ...]]:
@@ -105,7 +99,7 @@ def apply_rope(x: Tensor, cfg: RopeConfig, positions: np.ndarray) -> Tensor:
     """Rotate (..., seq, n_heads, head_dim) at the given absolute positions.
 
     positions has shape (seq,). Pair (2i, 2i+1) rotates by angle
-    pos * base**(-2i/head_dim); position 0 is the identity.
+    pos * base**(-2i/head_dim); position 0 is the identity. One op.
     """
     if x.shape[-1] != cfg.head_dim:
         raise DimensionError(f"rope head_dim {cfg.head_dim} vs input {x.shape[-1]}")
@@ -113,12 +107,4 @@ def apply_rope(x: Tensor, cfg: RopeConfig, positions: np.ndarray) -> Tensor:
     if positions.ndim != 1 or x.shape[-3] != positions.shape[0]:
         raise DimensionError("positions must be 1-d and match the sequence axis")
     cos, sin = rope_angles(cfg, positions)          # (seq, d/2)
-    cos = cos[:, None, :]                           # broadcast over heads
-    sin = sin[:, None, :]
-    even = x[..., 0::2]
-    odd = x[..., 1::2]
-    r_even = even * cos - odd * sin
-    r_odd = even * sin + odd * cos
-    # re-interleave: stack on a trailing axis then flatten the last two
-    stacked = concat([r_even.reshape(*r_even.shape, 1), r_odd.reshape(*r_odd.shape, 1)], axis=-1)
-    return stacked.reshape(*x.shape)
+    return rope_rotate(x, cos[:, None, :], sin[:, None, :])     # broadcast over heads

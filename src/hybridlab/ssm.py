@@ -38,7 +38,7 @@ import numpy as np
 
 from . import tensor
 from .nn import proj_init, rms_norm
-from .tensor import ContractError, DimensionError, Tensor, exp, matmul, silu, softplus
+from .tensor import ContractError, DimensionError, Tensor, exp, matmul, silu, silu_mul, softplus
 
 DT_INIT_RANGE = (0.001, 0.1)
 A_INIT_RANGE = (1.0, 16.0)
@@ -453,7 +453,7 @@ def ssm_context(
         y, state.h = ssm_scan(
             xs, dt, bm, cm, a_log, d_skip, h0=state.h, chunk=chunk, return_state=True
         )
-    return y * silu(z).reshape(b, l, cfg.n_heads, cfg.d_head)
+    return silu_mul(z.reshape(b, l, cfg.n_heads, cfg.d_head), y)
 
 
 def ssm_forward(

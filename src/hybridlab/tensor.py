@@ -26,17 +26,55 @@ kernels with analytic backward rules. The fused attention kernel
 records one node: it walks the queries in fixed tiles, scores each tile
 only against keys up to its last visible column, and never holds the
 full (B, H, L, L) score matrix. Gradients for broadcast operands are
-reduced back to the operand shape. Kernels outside this module (the
-SSM's chunked scan and causal conv) record their one node through
-`_make` too, and honour `set_chaos` the same way.
+reduced back to the operand shape. The other fused kernels each record
+one node with an analytic backward: `normalize_lastdim` (the RMS norm,
+and with ``center`` the per-head group norm), `rope_rotate` (the rotary
+embedding on a ``(..., d/2, 2)`` view; its backward rotates by -theta)
+and `silu_mul` (the SiLU gate silu(a) * b, byte-equal to the composed
+form). Kernels outside this module (the SSM's chunked scan and causal
+conv) record their one node through `_make` too, and honour `set_chaos`
+the same way.
+
+Heap policy: every op allocates fresh arrays, many of them MB-sized, and
+with glibc's defaults each freed one goes back to the kernel, so the next
+op faults its pages in again: a warm toy-llama prefill of 4 x 320 tokens
+took ~11K minor faults, at ~3.5 us per 4 KiB page on a 2-vCPU VM (timed
+by touching a fresh mmap). At import, one ``mallopt(M_TOP_PAD, 64 MiB)``
+makes glibc keep up to that much freed memory at the top of its heap,
+and carve large arrays from it instead of mapping each afresh; the same
+prefill then faults nothing. The pad is measured, not guessed: setting
+any malloc parameter switches off glibc's sliding mmap threshold, and 5
+warm prefills (before the norms, rope and gate were fused) took 54.9K
+faults with the defaults, 157K / 114K with a 1 / 4 MiB pad, 135K with
+only ``M_TRIM_THRESHOLD`` at 64 MiB, 113K with only ``M_MMAP_THRESHOLD``
+at 32 MiB, 62 with a 16 MiB pad and 2 with 32 or 64 MiB. Where there is
+no glibc ``mallopt`` the call is skipped.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 from contextlib import contextmanager
 
 import numpy as np
+
+# glibc's mallopt parameter number for M_TOP_PAD, and the pad kept (bytes)
+_M_TOP_PAD = -2
+_HEAP_TOP_PAD = 64 << 20
+
+
+def _keep_freed_heap() -> bool:
+    """Ask glibc to keep freed heap pages; False where there is no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt(_M_TOP_PAD, _HEAP_TOP_PAD) == 1
+
+
+_HEAP_KEPT = _keep_freed_heap()
 
 
 class DimensionError(ValueError):
@@ -340,9 +378,16 @@ def square(a) -> Tensor:
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; x >= 0 gives 1 / (1 + e^-x) and x < 0 gives
-    # e^x / (1 + e^x), the same two branches without boolean-mask indexing
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # e^x / (1 + e^x). One buffer plus the denominator; the numerator is
+    # e * 0 + 1 or e * 1 + 0, exact, and faster than a masked write
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = 1.0 + e
+    e *= x < 0
+    e += x >= 0
+    e /= den
+    return e
 
 
 def sigmoid(a) -> Tensor:
@@ -355,6 +400,28 @@ def silu(a) -> Tensor:
     a = as_tensor(a)
     s = _sigmoid(a.data)
     return _make("silu", a.data * s, (a,), lambda g: (g * s * (1.0 + a.data * (1.0 - s)),))
+
+
+def silu_mul(a, b) -> Tensor:
+    """The SiLU gate silu(a) * b as one op.
+
+    Values and both gradients are byte-equal to ``silu(a) * b``: the
+    same products are taken in the same order.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    s = _sigmoid(a.data)
+    act = a.data * s
+
+    def bwd(g):
+        ga = _unbroadcast(g * b.data, a.shape)
+        ga *= s
+        d_act = 1.0 - s
+        d_act *= a.data
+        d_act += 1.0
+        ga *= d_act
+        return ga, _unbroadcast(g * act, b.shape)
+
+    return _make("silu_mul", act * b.data, (a, b), bwd)
 
 
 def softplus(a) -> Tensor:
@@ -513,6 +580,64 @@ def masked_softmax_lastdim(a, mask: np.ndarray) -> Tensor:
         return (out * (g - dot),)
 
     return _make("masked_softmax", out, (a,), bwd)
+
+
+def normalize_lastdim(x, weight, eps: float, center: bool = False) -> Tensor:
+    """The RMS norm x * rsqrt(mean(x^2) + eps) * weight over the last dim.
+
+    With `center`, x is first centred on its last-dim mean: the group
+    norm (x - mu) * rsqrt(var + eps) * weight. `weight` broadcasts
+    against the trailing dims of x, e.g. (d,) or (heads, d). One op
+    with an analytic backward: for c the (centred) input, r =
+    sqrt(mean(c^2) + eps), n = c / r and gn the gradient reaching n,
+    dx = (gn - mean(gn) - n * mean(gn * n)) / r, where mean(gn) enters
+    only with `center`.
+    """
+    x, weight = as_tensor(x), as_tensor(weight)
+    n = x.data - x.data.mean(axis=-1, keepdims=True) if center else x.data
+    r = np.square(n).mean(axis=-1, keepdims=True)
+    r += eps
+    np.sqrt(r, out=r)
+    n = n / r
+
+    def bwd(g):
+        gn = g * weight.data
+        prod = gn * n
+        dot = prod.mean(axis=-1, keepdims=True)
+        if center:
+            gn -= gn.mean(axis=-1, keepdims=True)
+        np.multiply(n, dot, out=prod)
+        gn -= prod
+        gn /= r
+        gw = None
+        if weight.requires_grad:
+            np.multiply(g, n, out=prod)
+            gw = _unbroadcast(prod, weight.shape)
+        return gn, gw
+
+    return _make("group_norm" if center else "rms_norm", n * weight.data, (x, weight), bwd)
+
+
+def rope_rotate(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotate channel pairs (2i, 2i+1) of x (..., d) by angles theta.
+
+    cos and sin hold cos(theta), sin(theta) and broadcast against
+    (..., d/2). One op, one expression on the (..., d/2, 2) view of x:
+    out = x * (cos, cos) + swap(x) * (-sin, sin), where swap exchanges
+    each pair's entries. The backward is the same rotation by -theta.
+    """
+    x = as_tensor(x)
+    pairs = (*x.shape[:-1], x.shape[-1] // 2, 2)
+    c = np.stack((cos, cos), axis=-1)
+    s = np.stack((-sin, sin), axis=-1)
+
+    def rotate(v, s):
+        p = v.reshape(pairs)
+        out = p * c
+        out += p[..., ::-1] * s
+        return out.reshape(x.shape)
+
+    return _make("rope", rotate(x.data, s), (x,), lambda g: (rotate(g, -s),))
 
 
 # Query rows per attention tile. A tile holds whole score rows, so the plain
@@ -693,6 +818,10 @@ def backward(loss: Tensor) -> None:
         return
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    # Keys whose sum this sweep allocated. Only those are added into in
+    # place: a first contribution may be shared (add hands one array to
+    # both inputs) or a view (reshape, swapaxes).
+    owned: set[int] = set()
     for node in reversed(_tape.nodes):
         g_out = grads.pop(id(node.out), None)
         if g_out is None:
@@ -701,8 +830,19 @@ def backward(loss: Tensor) -> None:
         for t, g in zip(node.inputs, input_grads):
             if g is None or not t.requires_grad:
                 continue
+            key = id(t)
             if t.node is None:
-                t.grad = g if t.grad is None else t.grad + g
+                if t.grad is None:
+                    t.grad = g
+                elif key in owned:
+                    t.grad += g
+                else:
+                    t.grad = t.grad + g
+                    owned.add(key)
+            elif key not in grads:
+                grads[key] = g
+            elif key in owned:
+                grads[key] += g
             else:
-                key = id(t)
-                grads[key] = g if key not in grads else grads[key] + g
+                grads[key] = grads[key] + g
+                owned.add(key)

@@ -90,12 +90,52 @@ def _suite_tensor() -> list[PropertyResult]:
         a2 = named_rng(0, "alpha").normal(size=8)
         return (not np.allclose(a, b)) and np.array_equal(a, a2), "keyed streams"
 
+    def fused_ops_equal_composed():
+        from .nn import NORM_EPS, RopeConfig, apply_rope, group_norm_per_head, rms_norm, rope_angles
+        from .tensor import concat, silu, silu_mul, sqrt, square, tmean
+
+        rope, pos = RopeConfig(head_dim=8, base=10000.0), np.arange(5) + 29
+
+        def norm(x, w, center):
+            c = x - tmean(x, axis=-1, keepdims=True) if center else x
+            return c / sqrt(tmean(square(c), axis=-1, keepdims=True) + NORM_EPS) * w
+
+        def rotate(x):
+            cos, sin = rope_angles(rope, pos)
+            cos, sin = cos[:, None, :], sin[:, None, :]
+            even, odd = x[..., 0::2], x[..., 1::2]
+            pairs = (even * cos - odd * sin, even * sin + odd * cos)
+            return concat([p.reshape(*p.shape, 1) for p in pairs], axis=-1).reshape(*x.shape)
+
+        cases = [
+            ("rms_norm", rms_norm, lambda x, w: norm(x, w, False), [(2, 5, 8), (8,)]),
+            ("group_norm", group_norm_per_head, lambda x, w: norm(x, w, True), [(2, 5, 4, 8), (4, 8)]),
+            ("rope", lambda x: apply_rope(x, rope, pos), rotate, [(2, 5, 4, 8)]),
+            ("silu_mul", silu_mul, lambda a, b: silu(a) * b, [(2, 5, 8), (2, 5, 8)]),
+        ]
+        rng = named_rng(7, "verify-fused")
+        worst = {}
+        for name, fused, composed, shapes in cases:
+            data = [rng.normal(size=shape) for shape in shapes]
+            probe = rng.normal(size=shapes[0])
+            runs = []
+            for fn in (fused, composed):
+                inputs = [Tensor(d, requires_grad=True) for d in data]
+                out = fn(*inputs)
+                backward(tsum(out * probe))
+                runs.append([out.data] + [t.grad for t in inputs])
+                reset_tape()
+            worst[name] = max(float(np.abs(a - b).max()) for a, b in zip(*runs))
+        name = max(worst, key=worst.get)
+        return worst[name] < 1e-12, f"max |fused - composed| {worst[name]:.1e} ({name}), values and grads"
+
     checks = [
         ("grad matches finite differences", grad_matches_fd),
         ("softmax rows sum to one", softmax_normalized),
         ("masked lanes are exactly zero", masked_lanes_exact_zero),
         ("dimension contract enforced", shape_errors_raise),
         ("named rng: distinct + reproducible", rng_streams_differ),
+        ("fused norm, rope and gate equal their composed reference", fused_ops_equal_composed),
     ]
     for name, fn in checks:
         out.append(_run("tensor", name, fn))

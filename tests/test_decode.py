@@ -1,3 +1,5 @@
+import resource
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from hybridlab.decode import (
     sample_token,
 )
 from hybridlab.model import HybridModel
+from hybridlab import tensor
 from hybridlab.tensor import ContractError, named_rng, no_grad
 
 PRESETS = ("toy-llama", "toy-mamba", "toy-swa", "toy-inter", "toy-intra", "toy-intra-2l")
@@ -278,3 +281,19 @@ def test_a_filled_kv_cache_takes_one_token_at_a_time(name):
     state, _ = prefill(model, np.array([[1, 2, 3]]))
     with pytest.raises(ContractError), no_grad():
         model.forward(np.array([[4, 5]]), state.caches, start=state.position)
+
+
+@pytest.mark.skipif(not tensor._HEAP_KEPT, reason="no glibc mallopt to keep freed heap pages")
+def test_warm_prefill_faults_in_no_fresh_pages():
+    # the heap policy keeps each op's freed temporaries, so a warm prefill
+    # reuses their pages; with glibc's defaults these 5 take ~55K faults
+    cfg, layout = preset("toy-llama")
+    model = HybridModel(with_vocab(cfg, 64), layout, seed=0)
+    tokens = named_rng(0, "faults").integers(0, 64, size=(4, 320))
+    for _ in range(3):
+        prefill(model, tokens)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        prefill(model, tokens)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 5000, f"{faults} minor faults in 5 warm prefills"

@@ -15,7 +15,23 @@ from hybridlab.nn import (
     rope_angles,
     siglu_ffn,
 )
-from hybridlab.tensor import ContractError, Tensor, named_rng, no_grad
+from hybridlab.tensor import (
+    ContractError,
+    NonFiniteError,
+    Tensor,
+    backward,
+    concat,
+    default_tape,
+    named_rng,
+    no_grad,
+    reset_tape,
+    silu,
+    silu_mul,
+    sqrt,
+    square,
+    tmean,
+    tsum,
+)
 
 
 def test_rms_norm_produces_unit_rms():
@@ -155,3 +171,91 @@ def test_proj_init_scales_with_fan_in():
 def test_param_marks_requires_grad():
     p = param(named_rng(0, "p"), (3, 3), 0.1)
     assert p.requires_grad and p.shape == (3, 3)
+
+
+# ---------------------------------------------------------------------------
+# fused kernels against their composed references
+# ---------------------------------------------------------------------------
+
+
+def composed_rms_norm(x, w, eps=NORM_EPS):
+    return x / sqrt(tmean(square(x), axis=-1, keepdims=True) + eps) * w
+
+
+def composed_group_norm(x, w, eps=NORM_EPS):
+    centered = x - tmean(x, axis=-1, keepdims=True)
+    return centered / sqrt(tmean(square(centered), axis=-1, keepdims=True) + eps) * w
+
+
+def composed_rope(x, cfg, positions):
+    cos, sin = rope_angles(cfg, positions)
+    cos, sin = cos[:, None, :], sin[:, None, :]
+    even, odd = x[..., 0::2], x[..., 1::2]
+    r_even = even * cos - odd * sin
+    r_odd = even * sin + odd * cos
+    stacked = concat([r_even.reshape(*r_even.shape, 1), r_odd.reshape(*r_odd.shape, 1)], axis=-1)
+    return stacked.reshape(*x.shape)
+
+
+ROPE = RopeConfig(head_dim=8, base=100.0)
+ROPE_POSITIONS = np.arange(5) + 37          # not starting at 0
+
+# name: (fused, composed reference, input shapes)
+FUSED = {
+    "rms_norm": (rms_norm, composed_rms_norm, [(2, 5, 8), (8,)]),
+    "group_norm": (group_norm_per_head, composed_group_norm, [(2, 3, 4, 6), (4, 6)]),
+    "rope": (
+        lambda x: apply_rope(x, ROPE, ROPE_POSITIONS),
+        lambda x: composed_rope(x, ROPE, ROPE_POSITIONS),
+        [(2, 5, 3, 8)],
+    ),
+    "silu_mul": (silu_mul, lambda a, b: silu(a) * b, [(2, 3, 7), (2, 3, 7)]),
+}
+
+
+def fused_inputs(name):
+    rng = named_rng(0, f"fused-{name}")
+    return [Tensor(rng.normal(size=shape) * 2.0 + 0.3, requires_grad=True) for shape in FUSED[name][2]]
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_equals_its_composed_reference(name):
+    fused, composed, shapes = FUSED[name]
+    probe = named_rng(1, f"fused-{name}").normal(size=shapes[0])
+    runs = []
+    for fn in (fused, composed):
+        inputs = fused_inputs(name)
+        out = fn(*inputs)
+        backward(tsum(out * probe))
+        runs.append([out.data] + [t.grad for t in inputs])
+        reset_tape()
+    for got, want in zip(*runs):
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_gradients(name):
+    fused, _composed, shapes = FUSED[name]
+    inputs = fused_inputs(name)
+    params = {f"in{i}": t for i, t in enumerate(inputs)}
+    probe = named_rng(2, f"fused-{name}").normal(size=shapes[0])
+    fd_grad_check(
+        lambda: tsum(fused(*params.values()) * probe), params,
+        named_rng(3, f"fused-{name}"), coords_per_tensor=8,
+    )
+
+
+def test_fused_op_is_one_tape_node():
+    for name, (fused, _composed, _shapes) in FUSED.items():
+        fused(*fused_inputs(name))
+        assert [n.op for n in default_tape().nodes] == [name]
+        reset_tape()
+
+
+@pytest.mark.parametrize("name", ["rms_norm", "group_norm"])
+def test_inf_in_a_norm_weight_names_the_fused_op(name):
+    fused, _composed, _shapes = FUSED[name]
+    x, w = fused_inputs(name)
+    w.data.reshape(-1)[3] = np.inf
+    with pytest.raises(NonFiniteError, match=f"'{name}'"):
+        fused(x, w)

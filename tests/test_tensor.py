@@ -11,6 +11,7 @@ from hybridlab.layout import LayoutSpec
 from hybridlab.model import HybridModel
 from hybridlab.tensor import (
     DimensionError,
+    default_tape,
     NonFiniteError,
     Tensor,
     backward,
@@ -26,6 +27,7 @@ from hybridlab.tensor import (
     set_chaos,
     sigmoid,
     silu,
+    silu_mul,
     softmax_lastdim,
     softplus,
     tmean,
@@ -244,3 +246,61 @@ def test_activations_match_the_two_branch_sigmoid_bytewise():
             assert out.data.tobytes() == value.tobytes(), op.__name__
             assert t.grad.tobytes() == grad.tobytes(), op.__name__
             reset_tape()
+        # the fused gate: its value and both grads equal the composed form's
+        b = named_rng(1, "sigmoid").normal(size=x.shape)
+        c = named_rng(2, "sigmoid").normal(size=x.shape)
+        runs = []
+        for gate in (lambda u, v: silu(u) * v, silu_mul):
+            ta, tb = Tensor(x, requires_grad=True), Tensor(b, requires_grad=True)
+            out = gate(ta, tb)
+            backward(tsum(out * c))
+            runs.append((out.data.tobytes(), ta.grad.tobytes(), tb.grad.tobytes()))
+            reset_tape()
+        assert runs[0] == runs[1]
+
+
+def _out_of_place_backward(loss):
+    # the sweep before in-place accumulation: every sum a fresh array
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(default_tape().nodes):
+        g_out = grads.pop(id(node.out), None)
+        if g_out is None:
+            continue
+        for t, g in zip(node.inputs, node.backward(g_out)):
+            if g is None or not t.requires_grad:
+                continue
+            if t.node is None:
+                t.grad = g if t.grad is None else t.grad + g
+            else:
+                grads[id(t)] = g if id(t) not in grads else grads[id(t)] + g
+
+
+def test_backward_accumulates_in_place_only_into_its_own_sums():
+    # add hands one array to both inputs a and b; each then gets two more
+    # contributions, b's through a reshape view. The leaves x and w share
+    # one array the same way, and x then gets four more contributions.
+    rng = named_rng(0, "accumulate")
+    params = {
+        "x": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+        "w": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+    }
+    probe = np.arange(12.0) - 5.0
+
+    def loss_fn():
+        x = params["x"]
+        a = x * params["w"]
+        b = exp(x * 0.5)
+        t1, t2, t3 = a * 3.0, a * b, b.reshape(12)
+        s = a + b
+        loss = tsum(s * s) + tsum(t1) + tsum(t2 * t2) + tsum(t3 * probe) + tsum(x * x)
+        return loss + tsum((x + params["w"]) * probe.reshape(3, 4))
+
+    fd_grad_check(loss_fn, params, named_rng(1, "accumulate"), coords_per_tensor=12)
+    grads = []
+    for sweep in (backward, _out_of_place_backward):
+        for p in params.values():
+            p.grad = None
+        sweep(loss_fn())
+        grads.append([p.grad.tobytes() for p in params.values()])
+        reset_tape()
+    assert grads[0] == grads[1]
