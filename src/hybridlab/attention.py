@@ -4,11 +4,14 @@ The windowed variant keeps a block of always-visible sink positions at
 the start of the sequence plus a sliding window of the most recent
 positions, so its state is bounded by window + sink entries no matter
 how long the sequence grows. Masks are plain boolean numpy arrays.
-The softmax itself is `tensor.attention_core`, one fused op that walks
-the queries in tiles of whole rows; masked lanes still get exactly-zero
-weight, now per query tile, and a tile scores no key past its last
-visible mask column. The decode step is this same path with a KV
-cache: one query against every cached key, rotated when it was written.
+The softmax itself is `tensor.attention_core`, one fused op that takes
+q, k and v in the (B, L, heads, d) layout the projections produce, so no
+head transposes surround it, and walks the queries in 16-row tiles of
+whole rows; masked lanes get exactly-zero weight, and a tile scores no
+key past its last visible mask column. One set of rotary tables per call
+serves q and k. The decode step is this same path with a KV cache: one
+query against every cached key, rotated when it was written, read
+straight from the cache's views.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import RopeConfig, apply_rope, proj_init
-from .tensor import ContractError, DimensionError, Tensor, attention_core, matmul
+from .nn import RopeConfig, proj_init, rope_tables
+from .tensor import ContractError, DimensionError, Tensor, attention_core, matmul, rope_rotate
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,8 @@ def attention_context(
     b, l, d = x.shape
     if d != cfg.d_model:
         raise DimensionError(f"d_model mismatch: config {cfg.d_model}, input {d}")
+    if np.shape(positions) != (l,):
+        raise DimensionError(f"positions {np.shape(positions)} vs sequence length {l}")
     step = cache is not None and cache.entries > 0
     if step and l != 1:
         raise ContractError(f"a filled KV cache takes one token at a time, got {l}")
@@ -126,12 +131,12 @@ def attention_context(
     wq, wk = weights[f"{prefix}.wq"], weights[f"{prefix}.wk"]
     wv = weights[f"{prefix}.wv"]
 
-    q = matmul(x, wq).reshape(b, l, cfg.n_heads, cfg.d_qk)
-    k = matmul(x, wk).reshape(b, l, cfg.n_kv_heads, cfg.d_qk)
+    # one set of rope tables serves q and, through its leading heads, k
+    cos, sin = rope_tables(rope, positions, cfg.n_heads)
+    kv_cos, kv_sin = cos[:, : cfg.n_kv_heads], sin[:, : cfg.n_kv_heads]
+    q = rope_rotate(matmul(x, wq).reshape(b, l, cfg.n_heads, cfg.d_qk), cos, sin)
+    k = rope_rotate(matmul(x, wk).reshape(b, l, cfg.n_kv_heads, cfg.d_qk), kv_cos, kv_sin)
     v = matmul(x, wv).reshape(b, l, cfg.n_kv_heads, cfg.d_v)
-
-    q = apply_rope(q, rope, positions)
-    k = apply_rope(k, rope, positions)
     if cache is not None:
         cache.extend(k.data, v.data, positions)
     if step:
@@ -139,13 +144,7 @@ def attention_context(
         mask = None
     elif mask is None:
         mask = causal_mask(l)
-
-    q = q.swapaxes(1, 2)                      # (B, H, L, d_qk)
-    k = k.swapaxes(1, 2)                      # (B, H_kv, Lk, d_qk)
-    v = v.swapaxes(1, 2)                      # (B, H_kv, Lk, d_v)
-
-    ctx = attention_core(q, k, v, mask)       # (B, H, L, d_v)
-    return ctx.swapaxes(1, 2)                 # (B, L, H, d_v)
+    return attention_core(q, k, v, mask)      # (B, L, H, d_v)
 
 
 def attention_forward(

@@ -95,6 +95,20 @@ def rope_angles(cfg: RopeConfig, positions: np.ndarray) -> tuple[np.ndarray, np.
     return np.cos(theta), np.sin(theta)
 
 
+def rope_tables(cfg: RopeConfig, positions: np.ndarray, n_heads: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full-width `rope_rotate` tables, shape (len(positions), n_heads, d).
+
+    cos(theta) fills both entries of each pair and sin(theta) is signed
+    (-sin, sin). A caller with fewer heads uses the leading heads' slice,
+    so one build serves q and its grouped k.
+    """
+    cos, sin = rope_angles(cfg, positions)
+    row = (cos.shape[0], 1, cfg.head_dim)
+    c = np.repeat(cos, 2, axis=-1).reshape(row)
+    s = np.stack((-sin, sin), axis=-1).reshape(row)
+    return np.repeat(c, n_heads, axis=1), np.repeat(s, n_heads, axis=1)
+
+
 def apply_rope(x: Tensor, cfg: RopeConfig, positions: np.ndarray) -> Tensor:
     """Rotate (..., seq, n_heads, head_dim) at the given absolute positions.
 
@@ -106,5 +120,4 @@ def apply_rope(x: Tensor, cfg: RopeConfig, positions: np.ndarray) -> Tensor:
     positions = np.asarray(positions)
     if positions.ndim != 1 or x.shape[-3] != positions.shape[0]:
         raise DimensionError("positions must be 1-d and match the sequence axis")
-    cos, sin = rope_angles(cfg, positions)          # (seq, d/2)
-    return rope_rotate(x, cos[:, None, :], sin[:, None, :])     # broadcast over heads
+    return rope_rotate(x, *rope_tables(cfg, positions, x.shape[-2]))

@@ -22,18 +22,20 @@ The op set is deliberately small: broadcasting arithmetic, batched
 matmul, reductions, shape surgery, the handful of activations
 the models need, and fused softmax / masked-softmax / cross-entropy
 kernels with analytic backward rules. The fused attention kernel
-(`attention_core`) takes grouped-head q, k, v and an optional mask and
-records one node: it walks the queries in fixed tiles, scores each tile
-only against keys up to its last visible column, and never holds the
-full (B, H, L, L) score matrix. Gradients for broadcast operands are
+(`attention_core`) takes q, k, v in the model's (B, L, heads, d) layout,
+with grouped KV heads and an optional mask, and records one node: it
+walks the queries in 16-row tiles, scores each tile only against keys up
+to its last visible column, normalizes after the PV product, and never
+holds the full (B, H, L, L) score matrix. Its tape keeps one exp tile
+and its row inverses per query tile. Gradients for broadcast operands are
 reduced back to the operand shape. The other fused kernels each record
 one node with an analytic backward: `normalize_lastdim` (the RMS norm,
 and with ``center`` the per-head group norm), `rope_rotate` (the rotary
-embedding on a ``(..., d/2, 2)`` view; its backward rotates by -theta)
-and `silu_mul` (the SiLU gate silu(a) * b, byte-equal to the composed
-form). Kernels outside this module (the SSM's chunked scan and causal
-conv) record their one node through `_make` too, and honour `set_chaos`
-the same way.
+embedding against full-width cos and sin tables; its backward rotates by
+-theta) and `silu_mul` (the SiLU gate silu(a) * b, byte-equal to the
+composed form). Kernels outside this module (the SSM's chunked scan and
+causal conv) record their one node through `_make` too, and honour
+`set_chaos` the same way.
 
 Heap policy: every op allocates fresh arrays, many of them MB-sized, and
 with glibc's defaults each freed one goes back to the kernel, so the next
@@ -621,118 +623,175 @@ def normalize_lastdim(x, weight, eps: float, center: bool = False) -> Tensor:
 def rope_rotate(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotate channel pairs (2i, 2i+1) of x (..., d) by angles theta.
 
-    cos and sin hold cos(theta), sin(theta) and broadcast against
-    (..., d/2). One op, one expression on the (..., d/2, 2) view of x:
-    out = x * (cos, cos) + swap(x) * (-sin, sin), where swap exchanges
-    each pair's entries. The backward is the same rotation by -theta.
+    cos and sin are full-width tables that broadcast against x: cos(theta)
+    for both entries of a pair, and sin(theta) signed as (-sin, sin)
+    (`nn.rope_tables` builds them). A table that spans the whole
+    (heads, d) row keeps every pass on contiguous memory. One op:
+    out = x * cos + swap(x) * sin, where swap exchanges each pair's
+    entries; the backward is the same rotation by -theta. The values are
+    byte-equal to the pairwise form on the (..., d/2, 2) view.
     """
     x = as_tensor(x)
-    pairs = (*x.shape[:-1], x.shape[-1] // 2, 2)
-    c = np.stack((cos, cos), axis=-1)
-    s = np.stack((-sin, sin), axis=-1)
+    if np.shape(cos)[-1] != x.shape[-1] or np.shape(sin)[-1] != x.shape[-1]:
+        raise DimensionError(f"rope tables {np.shape(cos)} vs input {x.shape}")
 
-    def rotate(v, s):
-        p = v.reshape(pairs)
-        out = p * c
-        out += p[..., ::-1] * s
-        return out.reshape(x.shape)
+    def rotate(v, back):
+        out = v * cos
+        swapped = np.empty_like(out)
+        swapped[..., 0::2] = v[..., 1::2]
+        swapped[..., 1::2] = v[..., 0::2]
+        swapped *= sin
+        if back:
+            out -= swapped
+        else:
+            out += swapped
+        return out
 
-    return _make("rope", rotate(x.data, s), (x,), lambda g: (rotate(g, -s),))
+    return _make("rope", rotate(x.data, False), (x,), lambda g: (rotate(g, True),))
 
 
-# Query rows per attention tile. A tile holds whole score rows, so the plain
-# two-pass softmax stays exact; the size only bounds the scratch array.
-_ATTN_TILE = 64
+# Query rows per attention tile. A tile holds whole score rows, so the
+# softmax needs no online rescaling; the size sets how many scores exist
+# at once. Swept on a 2-vCPU VM with a 2 MiB L2: attention_core alone,
+# 8 query heads on 4 KV heads, d 8, causal, median of 15 rounds of 3 calls:
+#
+#   tile                              64     32     16      8
+#   (4, 320), no grad, ms           18.6   15.4   13.1   13.3
+#   (16, 64), fwd + bwd, ms         13.8   11.0    9.9   10.2
+#
+# At 64 rows and 320 keys one tile's scores are 5.2 MB, past the L2;
+# at 8 rows the per-tile call overhead eats the gain.
+_ATTN_TILE = 16
+
+
+def _attention_tiles(mask: np.ndarray | None, lq: int, lk: int) -> list[tuple]:
+    """(start, stop, key end, hidden lanes or None) per query tile.
+
+    The mask is read once: each row's last visible key comes from one
+    argmax over the reversed mask, and a tile needs no masking when every
+    row sees all keys up to the tile's key end.
+    """
+    starts = np.arange(0, lq, _ATTN_TILE)
+    stops = np.minimum(starts + _ATTN_TILE, lq)
+    if mask is None:
+        return [(start, stop, lk, None) for start, stop in zip(starts.tolist(), stops.tolist())]
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (lq, lk):
+        raise DimensionError(f"attention mask {mask.shape}, want {(lq, lk)}")
+    count = np.count_nonzero(mask, axis=1)
+    if not count.all():
+        raise ContractError("attention mask row with no visible key")
+    last = lk - np.argmax(mask[:, ::-1], axis=1)        # one past each row's last visible key
+    kends = np.maximum.reduceat(last, starts)
+    dense = np.minimum.reduceat(count, starts) == kends
+    return [
+        (start, stop, kend, None if full else ~mask[start:stop, :kend])
+        for start, stop, kend, full in zip(starts.tolist(), stops.tolist(), kends.tolist(), dense.tolist())
+    ]
 
 
 def attention_core(q, k, v, mask: np.ndarray | None = None) -> Tensor:
     """Softmax attention softmax(q k^T / sqrt(d_qk)) v as one fused op.
 
-    q (B, H, Lq, d_qk), k (B, H_kv, Lk, d_qk), v (B, H_kv, Lk, d_v) ->
-    (B, H, Lq, d_v). Query head h reads KV head h // (H / H_kv), so
-    grouped heads share K/V without copying them. `mask` is a boolean
-    (Lq, Lk) array, True where a key is visible; None shows every key.
-    Every row must keep at least one visible key.
+    Works in the model's layout: q (B, Lq, H, d_qk), k (B, Lk, H_kv,
+    d_qk), v (B, Lk, H_kv, d_v) -> (B, Lq, H, d_v). Query head h reads
+    KV head h // (H / H_kv), so grouped heads share K/V without copying
+    them; K and V are read through transposed views, which BLAS takes as
+    strided operands, so a KV cache's views go in as they are. `mask` is
+    a boolean (Lq, Lk) array, True where a key is visible; None shows
+    every key. Every row must keep at least one visible key.
 
-    Queries are processed in tiles of whole rows. Each tile scores only
-    the keys up to its last visible mask column, so a causal mask skips
-    the upper triangle, and never more than one tile's scores exist at a
-    time; masked lanes get exactly-zero weight.
+    Queries are processed in tiles of `_ATTN_TILE` whole rows, a tile's
+    group rows sharing one matmul per KV head. Each tile scores only the
+    keys up to its last visible mask column, so a causal mask skips the
+    upper triangle, and never more than one tile's scores exist at a
+    time; masked lanes get exactly-zero weight. The normalization comes
+    after the PV product: a tile keeps e = exp(s - rowmax) and
+    inv = 1 / rowsum(e), and its output is (e @ V) * inv. The tape keeps
+    e and inv per tile; the backward rebuilds the gathered q tile and
+    reads o from the output. With do' = do * inv:
+    dV = e^T do', dS = (do' V^T - rowsum(do' * o)) * e.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 4 or k.ndim != 4 or v.ndim != 4:
         raise DimensionError(f"attention wants 4-d q, k, v, got {q.shape}, {k.shape}, {v.shape}")
-    b, h, lq, d_qk = q.shape
-    h_kv, lk, d_v = k.shape[1], k.shape[2], v.shape[3]
+    b, lq, h, d_qk = q.shape
+    lk, h_kv, d_v = k.shape[1], k.shape[2], v.shape[3]
     if k.shape[0] != b or v.shape[:3] != k.shape[:3] or k.shape[3] != d_qk:
         raise DimensionError(f"attention q {q.shape}, k {k.shape}, v {v.shape} disagree")
     if h_kv == 0 or h % h_kv != 0:
         raise DimensionError(f"{h} query heads cannot share {h_kv} KV heads")
     if lk == 0:
         raise DimensionError("attention needs at least one key")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (lq, lk):
-            raise DimensionError(f"attention mask {mask.shape}, want {(lq, lk)}")
-        if not mask.any(axis=-1).all():
-            raise ContractError("attention mask row with no visible key")
+    tiles = _attention_tiles(mask, lq, lk)
     g = h // h_kv
     scale = d_qk ** -0.5
     flip = _chaos_mode == "flip-sign"
     keep = _tape.enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
 
-    qs = q.data.reshape(b, h_kv, g, lq, d_qk) * scale
-    kt = k.data.swapaxes(-1, -2)
-    out = np.empty((b, h_kv, g, lq, d_v), dtype=np.result_type(q.data, k.data, v.data))
-    tiles = []                  # (start, stop, key end, probabilities) per tile
-    for start in range(0, lq, _ATTN_TILE):
-        stop = min(start + _ATTN_TILE, lq)
+    # (B, L, H_kv, G, d) splits of the row layouts, and (B, H_kv, Lk, d) views
+    q5 = q.data.reshape(b, lq, h_kv, g, d_qk)
+    kh, vh = k.data.transpose(0, 2, 1, 3), v.data.transpose(0, 2, 1, 3)
+    out = np.empty((b, lq, h, d_v))
+    out5 = out.reshape(b, lq, h_kv, g, d_v)
+
+    def heads_first(a5, start, stop):
+        """Tile rows of a (B, L, H_kv, G, d) array as a (B, H_kv, G, rows, d) view."""
+        return a5[:, start:stop].transpose(0, 2, 3, 1, 4)
+
+    def q_tile(start, stop):
+        """The scaled q rows of a tile, gathered to (B, H_kv, G * rows, d_qk)."""
+        t = np.empty((b, h_kv, g, stop - start, d_qk))
+        np.multiply(heads_first(q5, start, stop), scale, out=t)
+        return t.reshape(b, h_kv, -1, d_qk)
+
+    saved = []                  # (e, inv) per tile, kept for the backward
+    for start, stop, kend, hidden in tiles:
         rows = stop - start
-        kend, hidden = lk, None
-        if mask is not None:
-            visible = mask[start:stop]
-            kend = int(np.flatnonzero(visible.any(axis=0))[-1]) + 1
-            if not visible[:, :kend].all():
-                hidden = ~visible[:, :kend]
-        # (B, H_kv, G * rows, d): the group's rows share one matmul per KV head
-        q_t = qs[..., start:stop, :].reshape(b, h_kv, g * rows, d_qk)
-        p = np.matmul(q_t, kt[..., :kend])
+        e = np.matmul(q_tile(start, stop), kh[:, :, :kend].swapaxes(-1, -2))
         if flip:
-            np.negative(p, out=p)
+            np.negative(e, out=e)
         if hidden is not None:
-            np.copyto(p.reshape(b, h_kv, g, rows, kend), -np.inf, where=hidden)
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)        # exp(-inf) underflows to exactly 0
-        p /= p.sum(axis=-1, keepdims=True)
-        o = np.matmul(p, v.data[:, :, :kend])
+            np.copyto(e.reshape(b, h_kv, g, rows, kend), -np.inf, where=hidden)
+        e -= e.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)        # exp(-inf) underflows to exactly 0
+        inv = e.sum(axis=-1, keepdims=True)
+        np.reciprocal(inv, out=inv)
+        o = np.matmul(e, vh[:, :, :kend])
         if flip:
             np.negative(o, out=o)
-        out[..., start:stop, :] = o.reshape(b, h_kv, g, rows, d_v)
+        np.multiply(
+            o.reshape(b, h_kv, g, rows, d_v), inv.reshape(b, h_kv, g, rows, 1),
+            out=heads_first(out5, start, stop),
+        )
         if keep:
-            tiles.append((start, stop, kend, p))
-    out = out.reshape(b, h, lq, d_v)
+            saved.append((e, inv))
 
     def bwd(grad):
-        g_out = grad.reshape(b, h_kv, g, lq, d_v)
-        o_all = out.reshape(b, h_kv, g, lq, d_v)
-        dq = np.empty_like(qs)
-        dk = np.zeros(k.shape, dtype=grad.dtype)
-        dv = np.zeros(v.shape, dtype=grad.dtype)
-        for start, stop, kend, p in tiles:
+        g5 = grad.reshape(b, lq, h_kv, g, d_v)
+        # rowsum(do * o) per query row and head, in (B, H_kv, G, Lq) order
+        dots = (grad * out).sum(axis=-1).reshape(b, lq, h_kv, g).transpose(0, 2, 3, 1)
+        dq = np.empty(q.shape)
+        dk = np.zeros(k.shape)
+        dv = np.zeros(v.shape)
+        dq5 = dq.reshape(b, lq, h_kv, g, d_qk)
+        dkh, dvh = dk.transpose(0, 2, 1, 3), dv.transpose(0, 2, 1, 3)
+        for (start, stop, kend, _hidden), (e, inv) in zip(tiles, saved):
             rows = stop - start
-            do = g_out[..., start:stop, :].reshape(b, h_kv, g * rows, d_v)
-            o = o_all[..., start:stop, :].reshape(b, h_kv, g * rows, d_v)
-            # P^T and dS^T contract over the group's rows, summing dK, dV over G
-            dv[:, :, :kend] += np.matmul(p.swapaxes(-1, -2), do)
-            ds = np.matmul(do, v.data[:, :, :kend].swapaxes(-1, -2))
-            ds -= (do * o).sum(axis=-1, keepdims=True)
-            ds *= p
-            dq[..., start:stop, :] = np.matmul(ds, k.data[:, :, :kend]).reshape(
-                b, h_kv, g, rows, d_qk
+            do = np.empty((b, h_kv, g, rows, d_v))
+            np.multiply(heads_first(g5, start, stop), inv.reshape(b, h_kv, g, rows, 1), out=do)
+            do = do.reshape(b, h_kv, g * rows, d_v)
+            # e^T and dS^T contract over the group's rows, summing dK, dV over G
+            dvh[:, :, :kend] += np.matmul(e.swapaxes(-1, -2), do)
+            ds = np.matmul(do, vh[:, :, :kend].swapaxes(-1, -2))
+            ds -= dots[..., start:stop].reshape(b, h_kv, g * rows, 1) * inv
+            ds *= e
+            np.multiply(
+                np.matmul(ds, kh[:, :, :kend]).reshape(b, h_kv, g, rows, d_qk), scale,
+                out=heads_first(dq5, start, stop),
             )
-            q_t = qs[..., start:stop, :].reshape(b, h_kv, g * rows, d_qk)
-            dk[:, :, :kend] += np.matmul(ds.swapaxes(-1, -2), q_t)
-        return (dq * scale).reshape(q.shape), dk, dv
+            dkh[:, :, :kend] += np.matmul(ds.swapaxes(-1, -2), q_tile(start, stop))
+        return dq, dk, dv
 
     return _make("attention", out, (q, k, v), bwd)
 

@@ -218,7 +218,7 @@ def _suite_attention() -> list[PropertyResult]:
         from .tensor import masked_softmax_lastdim, matmul
 
         cfg, rope, weights = _toy_attn()
-        seq = 131                              # three query tiles of the kernel
+        seq = 131                              # nine query tiles, the last one partial
         x = Tensor(named_rng(11, "verify-attn-core").normal(size=(2, seq, 16)))
         pos = np.arange(seq)
         worst = 0.0

@@ -150,50 +150,65 @@ def test_attention_gradients():
 
 
 def composed_attention(q, k, v, mask):
-    """Reference: repeat the KV heads, then matmul, masked softmax, matmul."""
-    group = q.shape[1] // k.shape[1]
-    k = repeat_kv_heads(k.swapaxes(1, 2), group).swapaxes(1, 2)
-    v = repeat_kv_heads(v.swapaxes(1, 2), group).swapaxes(1, 2)
+    """Reference: repeat the KV heads, then matmul, masked softmax, matmul.
+
+    Takes and returns the kernel's (B, L, heads, d) layout and composes
+    the product on (B, heads, L, d) transposes of it.
+    """
+    group = q.shape[2] // k.shape[2]
+    q = q.swapaxes(1, 2)
+    k = repeat_kv_heads(k, group).swapaxes(1, 2)
+    v = repeat_kv_heads(v, group).swapaxes(1, 2)
     scores = matmul(q, k.swapaxes(-1, -2)) * (q.shape[-1] ** -0.5)
     if mask is None:
         mask = np.ones(scores.shape[-2:], dtype=bool)
-    return matmul(masked_softmax_lastdim(scores, mask), v)
+    return matmul(masked_softmax_lastdim(scores, mask), v).swapaxes(1, 2)
+
+
+MASK_KINDS = ["causal", "swa", "swa-mid", "none"]
 
 
 def make_mask(kind, L):
-    return {"causal": causal_mask(L), "swa": swa_mask(L, 3, 2), "none": None}[kind]
+    # swa-mid's 24-key window is a tile and a half, so its lower edge falls mid-tile
+    return {
+        "causal": causal_mask(L),
+        "swa": swa_mask(L, 3, 2),
+        "swa-mid": swa_mask(L, 24, 3),
+        "none": None,
+    }[kind]
 
 
 def make_qkv(rng, L, group, d_qk=4, d_v=4, batch=2, n_kv=2):
     return (
-        Tensor(rng.normal(size=(batch, n_kv * group, L, d_qk)), requires_grad=True),
-        Tensor(rng.normal(size=(batch, n_kv, L, d_qk)), requires_grad=True),
-        Tensor(rng.normal(size=(batch, n_kv, L, d_v)), requires_grad=True),
+        Tensor(rng.normal(size=(batch, L, n_kv * group, d_qk)), requires_grad=True),
+        Tensor(rng.normal(size=(batch, L, n_kv, d_qk)), requires_grad=True),
+        Tensor(rng.normal(size=(batch, L, n_kv, d_v)), requires_grad=True),
     )
 
 
-@pytest.mark.parametrize("L", [1, 63, 64, 131])
+# lengths around the kernel's 16-row tile edges
+@pytest.mark.parametrize("L", [1, 15, 16, 17, 33, 131])
 @pytest.mark.parametrize("group", [1, 2, 4])
-@pytest.mark.parametrize("kind", ["causal", "swa", "none"])
+@pytest.mark.parametrize("kind", MASK_KINDS)
 @pytest.mark.parametrize("d_v", [4, 8])
 def test_attention_core_matches_composed_reference(L, group, kind, d_v):
     rng = named_rng(L * 100 + group * 10 + d_v, f"core-{kind}")
-    q, k, v = make_qkv(rng, L, group, d_v=d_v)
+    q, k, v = make_qkv(rng, L, group, d_qk=6, d_v=d_v)
     mask = make_mask(kind, L)
     with no_grad():
         got = attention_core(q, k, v, mask).data
         want = composed_attention(q, k, v, mask).data
-    assert got.shape == (2, 2 * group, L, d_v)
+    assert got.shape == (2, L, 2 * group, d_v)
     assert np.abs(got - want).max() <= 1e-12
 
 
-@pytest.mark.parametrize("kind", ["causal", "swa", "none"])
-def test_attention_core_gradients_match_fd_and_reference(kind):
-    L = 131
-    rng = named_rng(3, f"core-grad-{kind}")
-    q, k, v = make_qkv(rng, L, group=2, d_v=6, batch=1)
+@pytest.mark.parametrize("kind", MASK_KINDS)
+@pytest.mark.parametrize("L,group", [(131, 2), (33, 4), (17, 1)])
+def test_attention_core_gradients_match_fd_and_reference(kind, L, group):
+    rng = named_rng(3 + L + group, f"core-grad-{kind}")
+    q, k, v = make_qkv(rng, L, group=group, d_v=6, batch=1)
     mask = make_mask(kind, L)
-    w = Tensor(rng.normal(size=(1, 4, L, 6)))
+    w = Tensor(rng.normal(size=(1, L, 2 * group, 6)))
     params = {"q": q, "k": k, "v": v}
 
     def loss_fn():
@@ -213,18 +228,39 @@ def test_attention_core_gradients_match_fd_and_reference(kind):
         assert np.abs(got - want).max() <= 1e-10
 
 
-def test_attention_core_causality_is_bitwise_across_tiles():
-    L, t = 131, 90                     # t sits in the middle query tile
+@pytest.mark.parametrize("group", [1, 2, 4])
+def test_one_query_over_a_strided_cache_view(group):
+    # a decode step: one query, no mask, K and V read as views of a
+    # (B, slots, n_kv, d) buffer with unused slots past the filled ones
+    rng = named_rng(8 + group, "core-cache-view")
+    entries, slots = 37, 64
+    k_buf = rng.normal(size=(2, slots, 2, 6))
+    v_buf = rng.normal(size=(2, slots, 2, 4))
+    q = Tensor(rng.normal(size=(2, 1, 2 * group, 6)))
+    k, v = Tensor(k_buf[:, :entries]), Tensor(v_buf[:, :entries])
+    assert not k.data.flags.c_contiguous
+    with no_grad():
+        got = attention_core(q, k, v).data
+        want = composed_attention(
+            q, Tensor(k.data.copy()), Tensor(v.data.copy()), np.ones((1, entries), dtype=bool)
+        ).data
+    assert got.shape == (2, 1, 2 * group, 4)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("t", [16, 17, 90])
+def test_attention_core_causality_is_bitwise_across_tiles(t):
+    L = 131                            # 16 and 17 sit on a tile edge, 90 mid-tile
     rng = named_rng(5, "core-mut")
     q, k, v = make_qkv(rng, L, group=2)
     with no_grad():
         base = attention_core(q, k, v, causal_mask(L)).data
         mutated = [Tensor(x.data.copy()) for x in (q, k, v)]
         for x in mutated:
-            x.data[:, :, t] += 3.0
+            x.data[:, t] += 3.0
         out = attention_core(*mutated, causal_mask(L)).data
-    assert np.array_equal(out[:, :, :t], base[:, :, :t])
-    assert not np.allclose(out[:, :, t], base[:, :, t])
+    assert np.array_equal(out[:, :t], base[:, :t])
+    assert not np.allclose(out[:, t], base[:, t])
 
 
 def test_attention_core_rejects_a_row_with_no_visible_key():
@@ -239,7 +275,7 @@ def test_attention_core_rejects_a_row_with_no_visible_key():
 def test_attention_core_rejects_non_finite_results():
     rng = named_rng(7, "core-inf")
     q, k, v = make_qkv(rng, 70, group=2)
-    v.data[0, 1, 3, 2] = np.inf       # slipped in after the tensor's own check
+    v.data[0, 3, 1, 2] = np.inf       # slipped in after the tensor's own check
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError):
             attention_core(q, k, v, causal_mask(70))

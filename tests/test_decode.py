@@ -219,7 +219,7 @@ def test_full_attention_state_bytes_grow_linearly():
 
 @pytest.mark.parametrize("name", ("toy-llama", "toy-swa", "toy-intra"))
 def test_cached_decoding_equals_full_forward_across_the_attention_tile(name):
-    # a 70-token prompt spans two query tiles of the fused attention kernel
+    # a 70-token prompt spans five query tiles of the fused attention kernel
     worst, state, cfg, layout = cached_vs_full(name, total=80, prompt=70)
     assert worst < 1e-8, worst
     assert state.cache_bytes() == hl.cache_bytes(layout, cfg, state.position)
@@ -297,3 +297,22 @@ def test_warm_prefill_faults_in_no_fresh_pages():
         prefill(model, tokens)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 5000, f"{faults} minor faults in 5 warm prefills"
+
+
+def test_a_toy_llama_decode_step_makes_at_most_80_ops(monkeypatch):
+    # matmul 29, reshape 17, rms_norm 9, rope 8, add 8, attention 4,
+    # silu_mul 4, embedding 1; head transposes around attention_core
+    # would add 4 per attention block
+    cfg, layout = preset("toy-llama")
+    model = HybridModel(cfg, layout, seed=0)
+    state, _ = prefill(model, named_rng(0, "ops").integers(0, cfg.vocab, size=(2, 9)))
+    ops = []
+    make = tensor._make
+
+    def counted(op, *args):
+        ops.append(op)
+        return make(op, *args)
+
+    monkeypatch.setattr(tensor, "_make", counted)
+    decode_step(model, state, np.array([1, 2]))
+    assert len(ops) <= 80, sorted(ops)

@@ -1,7 +1,9 @@
+import types
+
 import numpy as np
 import pytest
 
-from hybridlab.config import preset
+from hybridlab.config import preset, with_vocab
 from hybridlab.harness import (
     AdamW,
     NeedleTask,
@@ -14,12 +16,13 @@ from hybridlab.harness import (
     gen_needle_batch,
     gen_needle_train_batch,
     load_token_file,
+    masked_next_token_loss,
     positionwise_nll,
     train_model,
     trapezoid_lr,
 )
 from hybridlab.model import HybridModel
-from hybridlab.tensor import ContractError, Tensor, named_rng
+from hybridlab.tensor import ContractError, Tensor, default_tape, named_rng, reset_tape
 
 
 # ---------------------------------------------------------------------------
@@ -251,3 +254,55 @@ def test_load_token_file_rejects_junk(tmp_path):
         load_token_file(str(bad), "ids")
     with pytest.raises(ContractError):
         load_token_file(str(bad), "words")
+
+
+# ---------------------------------------------------------------------------
+# tape memory
+# ---------------------------------------------------------------------------
+
+
+def tape_kept_bytes(nodes) -> int:
+    """Bytes of the distinct buffers the tape keeps alive.
+
+    Each node's output plus every array its backward closure reaches
+    (directly, through a Tensor, a list or tuple, or a nested function's
+    closure); a view counts its base once.
+    """
+    seen, bases = set(), {}
+
+    def collect(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            collect(obj.data)
+        elif isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            bases[id(obj)] = obj.nbytes
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                collect(item)
+        elif isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                collect(cell.cell_contents)
+
+    for node in nodes:
+        collect(node.out)
+        collect(node.backward)
+    return sum(bases.values())
+
+
+def test_training_forward_tape_bytes_stay_bounded():
+    # toy-llama forward at 16 x 64. The bound is the figure with 64-row
+    # tiles, whose kernel also kept a scaled copy of q; the kernel now keeps
+    # one exp tile and its row inverses per query tile, 72,486,264 bytes.
+    # A kernel that kept a second copy of its score tiles crosses the bound
+    cfg, layout = preset("toy-llama")
+    model = HybridModel(with_vocab(cfg, 32), layout, seed=0)
+    tokens, mask = gen_copy_batch(named_rng(0, "tape"), 16, 32, 64)
+    reset_tape()
+    masked_next_token_loss(model, tokens, mask)
+    kept = tape_kept_bytes(default_tape().nodes)
+    reset_tape()
+    assert kept <= 82_503_032, kept

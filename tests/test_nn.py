@@ -13,6 +13,7 @@ from hybridlab.nn import (
     proj_init,
     rms_norm,
     rope_angles,
+    rope_tables,
     siglu_ffn,
 )
 from hybridlab.tensor import (
@@ -159,6 +160,43 @@ def test_rope_gradients():
         lambda: (apply_rope(params["x"], cfg, np.arange(3)) * apply_rope(params["x"], cfg, np.arange(3))).sum(),
         params, named_rng(1, "c"), coords_per_tensor=6,
     )
+
+
+def test_rope_tables_are_full_width_and_shared_by_fewer_heads():
+    cfg = RopeConfig(head_dim=6, base=100.0)
+    positions = np.arange(4) + 9
+    cos, sin = rope_angles(cfg, positions)
+    c, s = rope_tables(cfg, positions, n_heads=3)
+    assert c.shape == s.shape == (4, 3, 6)
+    assert np.array_equal(c[:, 1, 0::2], cos) and np.array_equal(c[:, 1, 1::2], cos)
+    assert np.array_equal(s[:, 2, 0::2], -sin) and np.array_equal(s[:, 2, 1::2], sin)
+    few_c, few_s = rope_tables(cfg, positions, n_heads=2)
+    assert np.array_equal(c[:, :2], few_c) and np.array_equal(s[:, :2], few_s)
+
+
+def pairwise_rope(x, cos, sin):
+    """The rotation on the (..., d/2, 2) view, (seq, d/2) tables broadcast over heads."""
+    cos, sin = cos[:, None, :], sin[:, None, :]
+    pairs = (*x.shape[:-1], x.shape[-1] // 2, 2)
+    p = x.reshape(pairs)
+    out = p * np.stack((cos, cos), axis=-1)
+    out += p[..., ::-1] * np.stack((-sin, sin), axis=-1)
+    return out.reshape(x.shape)
+
+
+def test_rope_is_byte_equal_to_the_pairwise_form():
+    cfg = RopeConfig(head_dim=8, base=500000.0)
+    positions = np.arange(29) + 300
+    rng = named_rng(0, "rope-bytes")
+    x = Tensor(rng.normal(size=(3, 29, 5, 8)) * 3.0, requires_grad=True)
+    probe = rng.normal(size=x.shape)
+    out = apply_rope(x, cfg, positions)
+    backward(tsum(out * probe))
+    reset_tape()
+    cos, sin = rope_angles(cfg, positions)
+    assert np.array_equal(out.data, pairwise_rope(x.data, cos, sin))
+    # the backward rotates by -theta
+    assert np.array_equal(x.grad, pairwise_rope(probe, cos, -sin))
 
 
 def test_proj_init_scales_with_fan_in():
