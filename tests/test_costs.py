@@ -191,3 +191,60 @@ def test_uniform_stack_costs_are_depth_linear():
 def test_non_embedding_params_frozen(name, params):
     cfg, layout = preset(name)
     assert params_non_embedding(layout, cfg) == params
+
+
+def _pinned_case(key):
+    """A preset, or "<preset>/<block>": one block on that preset's dims."""
+    if "/" not in key:
+        return preset(key)
+    base, block = key.split("/")
+    cfg, _ = preset(base)
+    if block == "mamba-moe":
+        return cfg, uniform_layout(1, BlockSpec("mamba", moe=True))
+    a, s = block.removeprefix("intra-").split(":")
+    return cfg, uniform_layout(1, BlockSpec("intra", dim_ratio=(float(a), float(s))))
+
+
+# (flops_per_sample, model_decode_step_flops, cache_bytes) at L, exact:
+# swa at window + sink - 1, window + sink, window + sink + 1 and 8192,
+# intra at three dim ratios, a MoE mamba block and every toy preset
+PINNED_COSTS = {
+    ("toy-swa", 9): (10786176.0, 412672.0, 4608),
+    ("toy-swa", 10): (12000000.0, 412928.0, 5120),
+    ("toy-swa", 11): (13214592.0, 413184.0, 5248),
+    ("toy-swa", 8192): (35653577472.0, 2507520.0, 1052416),
+    ("swa-1b", 575): (3422470656000.0, 2547122176.0, 18841600),
+    ("swa-1b", 576): (3428536025088.0, 2547146752.0, 18874368),
+    ("swa-1b", 577): (3434601467904.0, 2547171328.0, 18880512),
+    ("swa-1b", 8192): (51760907157504.0, 2734317568.0, 65667072),
+    ("toy-intra/intra-1:1", 577): (325081800.0, 251352.0, 58208),
+    ("toy-intra/intra-2:1", 577): (320501574.0, 253330.0, 62184),
+    ("toy-intra/intra-1:3", 577): (334242252.0, 247396.0, 50256),
+    ("intra-1b/intra-1:1", 577): (254205132576.0, 673962592.0, 1428992),
+    ("intra-1b/intra-2:1", 577): (242736610182.0, 667540674.0, 1361584),
+    ("intra-1b/intra-1:3", 577): (273059766192.0, 684558992.0, 1551616),
+    ("toy-inter/mamba-moe", 577): (259650000.0, 158064.0, 5376),
+    ("toy-llama", 1): (1186176.0, 404480.0, 512),
+    ("toy-llama", 577): (1194916224.0, 994304.0, 295424),
+    ("toy-mamba", 1): (1786560.0, 603584.0, 21504),
+    ("toy-mamba", 577): (1030845120.0, 603584.0, 21504),
+    ("toy-swa", 1): (1186176.0, 404480.0, 512),
+    ("toy-swa", 577): (823907712.0, 558080.0, 77696),
+    ("toy-inter", 1): (1636464.0, 553808.0, 16256),
+    ("toy-inter", 577): (1071862896.0, 701264.0, 89984),
+    ("toy-intra", 1): (1737144.0, 587304.0, 19040),
+    ("toy-intra", 577): (1098049464.0, 697896.0, 74336),
+    ("toy-intra-2l", 1): (794640.0, 273328.0, 5824),
+    ("toy-intra-2l", 577): (649942032.0, 494512.0, 116416),
+}
+
+
+@pytest.mark.parametrize("key,seq_len", list(PINNED_COSTS), ids=lambda v: str(v))
+def test_cost_outputs_are_pinned(key, seq_len):
+    cfg, layout = _pinned_case(key)
+    got = (
+        flops_per_sample(layout, cfg, seq_len),
+        model_decode_step_flops(layout, cfg, seq_len),
+        cache_bytes(layout, cfg, seq_len),
+    )
+    assert got == PINNED_COSTS[key, seq_len]
