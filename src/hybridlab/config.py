@@ -92,6 +92,23 @@ class ModelConfig:
         s = spec.sink if spec.sink is not None else self.sink
         return w, s
 
+    def block_branches(
+        self, spec: BlockSpec
+    ) -> tuple[AttnConfig | None, tuple[int, int] | None, SsmConfig | None]:
+        """(attention, its (window, sink), SSM) branches of a block; None if absent.
+
+        The one place that knows which branches each kind has: attn and
+        swa one full-width attention (swa windowed), mamba one SSM, intra
+        both at half width. Costs, decode caches and `Block` read it.
+        """
+        if spec.kind == "mamba":
+            return None, None, self.ssm_cfg()
+        if spec.kind == "intra":
+            icfg = self.intra_cfg(spec)
+            return icfg.attn_cfg, None, icfg.ssm_cfg
+        window = self.block_window(spec) if spec.kind == "swa" else None
+        return self.attn_cfg(), window, None
+
 
 # dims per published scale; attention depth / ssm depth differ per family
 _SCALES = {

@@ -23,8 +23,10 @@ working precision of the live process:
   windowed   the same with context capped at window + sink
   ssm        2 * (d_ssm * d_state + n_conv * (2 * n_groups * d_state + d_ssm))
 
-The intra-layer hybrid sums its two half-width branches in all three
-accountings.
+Each accounting sums a block's branches (`ModelConfig.block_branches`):
+attention over n_heads * (d_qk + d_v), or n_kv * (d_qk + d_v) cached,
+with min(L, window + sink) visible keys when windowed, plus the SSM.
+Every term is an integer below 2^53, so regrouping cannot change a bit.
 """
 
 from __future__ import annotations
@@ -154,43 +156,24 @@ def closed_form_mixer_params(kind: str, cfg: ModelConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _tri(seq_len: int) -> float:
-    return seq_len * (seq_len + 1) / 2
-
-
-def _attn_extra(width_qk: float, width_v: float, seq_len: int) -> float:
-    # 3x (fwd + bwd) times 2 matmul flops over query/key and prob/value widths
-    return 3.0 * (2.0 * width_qk + 2.0 * width_v) * _tri(seq_len)
-
-
-def _swa_extra(width_qk: float, width_v: float, seq_len: int, visible: int) -> float:
-    if seq_len <= visible:
-        return _attn_extra(width_qk, width_v, seq_len)
-    full_part = _tri(visible)
-    steady = visible * (seq_len - visible)
-    return 3.0 * (2.0 * width_qk + 2.0 * width_v) * (full_part + steady)
-
-
-def _ssm_extra(d_ssm: int, d_state: int, seq_len: int) -> float:
-    return 3.0 * seq_len * (9.0 * d_ssm * d_state + 2.0 * d_ssm)
+def _visible(window: tuple[int, int] | None, seq_len: int) -> int:
+    """Keys the last of seq_len queries sees: all of them, or window + sink."""
+    return seq_len if window is None else min(seq_len, window[0] + window[1])
 
 
 def block_flops_extra(spec: BlockSpec, cfg: ModelConfig, seq_len: int) -> float:
     """Length-dependent training FLOPs one block adds beyond 6 * params * L."""
-    d = cfg.d_model
-    if spec.kind == "attn":
-        return _attn_extra(d, d, seq_len)
-    if spec.kind == "swa":
-        window, sink = cfg.block_window(spec)
-        return _swa_extra(d, d, seq_len, window + sink)
-    if spec.kind == "mamba":
-        return _ssm_extra(cfg.d_ssm, cfg.d_state, seq_len)
-    icfg = cfg.intra_cfg(spec)
-    attn_part = _attn_extra(
-        icfg.n_half * icfg.d_qk, icfg.n_half * icfg.d_fuse, seq_len
-    )
-    ssm_part = _ssm_extra(icfg.d_ssm_branch, icfg.d_state, seq_len)
-    return attn_part + ssm_part
+    attn, window, ssm = cfg.block_branches(spec)
+    extra = 0.0
+    if attn is not None:
+        # 3x (fwd + bwd) times 2 matmul flops over the query/key and
+        # prob/value widths; query i sees min(i + 1, V) keys
+        v = _visible(window, seq_len)
+        width = attn.n_heads * (attn.d_qk + attn.d_v)
+        extra += 6.0 * width * (v * (v + 1) / 2 + v * (seq_len - v))
+    if ssm is not None:
+        extra += 3.0 * seq_len * (9.0 * ssm.d_ssm * ssm.d_state + 2.0 * ssm.d_ssm)
+    return extra
 
 
 def flops_per_sample(layout: LayoutSpec, cfg: ModelConfig, seq_len: int) -> float:
@@ -209,19 +192,14 @@ def decode_step_flops(spec: BlockSpec, cfg: ModelConfig, position: int) -> float
 
     A MoE block is charged its activated weights, as in training.
     """
-    base = 2.0 * activated_block_params(spec, cfg)
-    d = cfg.d_model
-    if spec.kind == "attn":
-        return base + 4.0 * d * (position + 1)
-    if spec.kind == "swa":
-        window, sink = cfg.block_window(spec)
-        return base + 4.0 * d * min(position + 1, window + sink)
-    if spec.kind == "mamba":
-        return base + 9.0 * cfg.d_ssm * cfg.d_state + 2.0 * cfg.d_ssm
-    icfg = cfg.intra_cfg(spec)
-    attn_part = 2.0 * (icfg.n_half * icfg.d_qk + icfg.n_half * icfg.d_fuse) * (position + 1)
-    ssm_part = 9.0 * icfg.d_ssm_branch * icfg.d_state + 2.0 * icfg.d_ssm_branch
-    return base + attn_part + ssm_part
+    attn, window, ssm = cfg.block_branches(spec)
+    flops = 2.0 * activated_block_params(spec, cfg)
+    if attn is not None:
+        width = attn.n_heads * (attn.d_qk + attn.d_v)
+        flops += 2.0 * width * _visible(window, position + 1)
+    if ssm is not None:
+        flops += 9.0 * ssm.d_ssm * ssm.d_state + 2.0 * ssm.d_ssm
+    return flops
 
 
 def model_decode_step_flops(layout: LayoutSpec, cfg: ModelConfig, position: int) -> float:
@@ -235,31 +213,14 @@ def model_decode_step_flops(layout: LayoutSpec, cfg: ModelConfig, position: int)
 # ---------------------------------------------------------------------------
 
 
-def _attn_cache_elems(n_kv: int, d_qk: int, d_v: int, entries: int) -> int:
-    return entries * n_kv * (d_qk + d_v)
-
-
-def _ssm_cache_elems(d_ssm: int, d_state: int, n_conv: int, n_groups: int) -> int:
-    return d_ssm * d_state + n_conv * (2 * n_groups * d_state + d_ssm)
-
-
 def block_cache_bytes(spec: BlockSpec, cfg: ModelConfig, context_len: int) -> int:
     """Decode-state bytes for one block at the given context length."""
-    if spec.kind == "attn":
-        elems = _attn_cache_elems(cfg.n_kv_heads, cfg.d_head, cfg.d_head, context_len)
-    elif spec.kind == "swa":
-        window, sink = cfg.block_window(spec)
-        entries = min(context_len, window + sink)
-        elems = _attn_cache_elems(cfg.n_kv_heads, cfg.d_head, cfg.d_head, entries)
-    elif spec.kind == "mamba":
-        elems = _ssm_cache_elems(cfg.d_ssm, cfg.d_state, cfg.n_conv, cfg.n_groups)
-    elif spec.kind == "intra":
-        icfg = cfg.intra_cfg(spec)
-        acfg = icfg.attn_cfg
-        elems = _attn_cache_elems(acfg.n_kv_heads, acfg.d_qk, acfg.d_v, context_len)
-        elems += _ssm_cache_elems(icfg.d_ssm_branch, icfg.d_state, icfg.n_conv, icfg.n_groups)
-    else:
-        raise ContractError(f"unknown block kind {spec.kind!r}")
+    attn, window, ssm = cfg.block_branches(spec)
+    elems = 0
+    if attn is not None:
+        elems += _visible(window, context_len) * attn.n_kv_heads * (attn.d_qk + attn.d_v)
+    if ssm is not None:
+        elems += ssm.d_ssm * ssm.d_state + ssm.n_conv * ssm.conv_channels
     return CACHE_BYTES_PER_ELEMENT * elems
 
 

@@ -84,9 +84,6 @@ class FullKV:
         """Views of the filled slots, valid until the next `extend`."""
         return Tensor(self.k_buf[:, : self.entries]), Tensor(self.v_buf[:, : self.entries])
 
-    def elems_per_sample(self) -> int:
-        return self.entries * self.n_kv * (self.d_qk + self.d_v)
-
 
 @dataclass
 class RollingKV:
@@ -133,9 +130,6 @@ class RollingKV:
         """Views of the filled slots, valid until the next `extend`."""
         return Tensor(self.k_buf[:, : self.entries]), Tensor(self.v_buf[:, : self.entries])
 
-    def elems_per_sample(self) -> int:
-        return self.entries * self.n_kv * (self.d_qk + self.d_v)
-
 
 @dataclass
 class IntraCache:
@@ -146,19 +140,14 @@ class IntraCache:
 BlockCache = FullKV | RollingKV | SsmState | IntraCache
 
 
-def _ssm_state_elems(state: SsmState) -> int:
-    batch = state.h.shape[0]
-    conv_channels = state.conv_buf.shape[-1]
-    # ring rows + the in-flight row, then the recurrent state itself
-    return (state.conv_buf.size // batch + conv_channels) + state.h.size // batch
-
-
 def _cache_elems(cache: BlockCache) -> int:
-    if isinstance(cache, (FullKV, RollingKV)):
-        return cache.elems_per_sample()
+    if isinstance(cache, IntraCache):
+        return _cache_elems(cache.kv) + _cache_elems(cache.ssm)
     if isinstance(cache, SsmState):
-        return _ssm_state_elems(cache)
-    return cache.kv.elems_per_sample() + _ssm_state_elems(cache.ssm)
+        batch = cache.h.shape[0]
+        # ring rows + the in-flight row, then the recurrent state itself
+        return cache.conv_buf.size // batch + cache.conv_buf.shape[-1] + cache.h.size // batch
+    return cache.entries * cache.n_kv * (cache.d_qk + cache.d_v)
 
 
 @dataclass
@@ -174,20 +163,17 @@ class DecodeState:
 
 
 def _fresh_cache(block: Block, batch: int) -> BlockCache:
-    if block.kind == "attn":
-        acfg = block.attn_cfg
-        return FullKV(acfg.n_kv_heads, acfg.d_qk, acfg.d_v)
-    if block.kind == "swa":
-        acfg = block.attn_cfg
-        window, sink = block.cfg.block_window(block.spec)
-        return RollingKV(window, sink, acfg.n_kv_heads, acfg.d_qk, acfg.d_v)
-    if block.kind == "mamba":
-        return init_ssm_state(block.ssm_cfg, batch)
-    acfg = block.intra_cfg.attn_cfg
-    return IntraCache(
-        kv=FullKV(acfg.n_kv_heads, acfg.d_qk, acfg.d_v),
-        ssm=init_ssm_state(block.intra_cfg.ssm_cfg, batch),
-    )
+    """A `FullKV` (`RollingKV` if windowed) for an attention branch, an
+    `SsmState` for an SSM branch, an `IntraCache` for both."""
+    kv = ssm = None
+    if block.attn_cfg is not None:
+        dims = (block.attn_cfg.n_kv_heads, block.attn_cfg.d_qk, block.attn_cfg.d_v)
+        kv = FullKV(*dims) if block.window is None else RollingKV(*block.window, *dims)
+    if block.ssm_cfg is not None:
+        ssm = init_ssm_state(block.ssm_cfg, batch)
+    if kv is not None and ssm is not None:
+        return IntraCache(kv=kv, ssm=ssm)
+    return kv if kv is not None else ssm
 
 
 # ---------------------------------------------------------------------------

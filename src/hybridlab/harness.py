@@ -312,7 +312,6 @@ class TrainConfig:
     weight_decay: float = 0.01
     clip_norm: float = 1.0
     seed: int = 0
-    log_every: int = 50
 
     def __post_init__(self):
         fracs = (self.warmup_frac, self.stable_frac, self.cooldown_frac)

@@ -26,11 +26,15 @@ SSM_CHUNK = 16
 
 
 class Block:
-    """One layer: pre-norm mixer + pre-norm FFN/MoE, both residual."""
+    """One layer: pre-norm mixer + pre-norm FFN/MoE, both residual.
+
+    `attn_cfg`, `window` and `ssm_cfg` are its branches (see
+    `ModelConfig.block_branches`); intra also keeps `intra_cfg` and
+    `fusion`, as its weights are not the sum of its branches.
+    """
 
     def __init__(self, spec: BlockSpec, cfg: ModelConfig, rng: np.random.Generator, index: int):
         self.spec = spec
-        self.cfg = cfg
         self.index = index
         self.kind = spec.kind
         self.weights: dict[str, Tensor] = {}
@@ -38,22 +42,17 @@ class Block:
         self.last_moe_load: np.ndarray | None = None
         self.lambda_init = default_lambda_init(index)
 
+        self.attn_cfg, self.window, self.ssm_cfg = cfg.block_branches(spec)
+        self.rope = None if self.attn_cfg is None else RopeConfig(self.attn_cfg.d_qk, cfg.rope_base)
         self.weights["attn_norm.weight"] = Tensor(np.ones(cfg.d_model), requires_grad=True)
-        if spec.kind in ("attn", "swa"):
-            self.attn_cfg = cfg.attn_cfg()
-            self.rope: RopeConfig | None = RopeConfig(head_dim=cfg.d_head, base=cfg.rope_base)
-            self.weights.update(init_attn_params(self.attn_cfg, rng))
-        elif spec.kind == "mamba":
-            self.ssm_cfg = cfg.ssm_cfg()
-            self.rope = None
-            self.weights.update(init_ssm_params(self.ssm_cfg, rng))
-        elif spec.kind == "intra":
+        if spec.kind == "intra":
             self.intra_cfg = cfg.intra_cfg(spec)
             self.fusion = cfg.block_fusion(spec)
-            self.rope = self.intra_cfg.rope_cfg
             self.weights.update(init_intra_params(self.intra_cfg, self.fusion, rng))
+        elif self.attn_cfg is not None:
+            self.weights.update(init_attn_params(self.attn_cfg, rng))
         else:
-            raise ContractError(f"unknown block kind {spec.kind!r}")
+            self.weights.update(init_ssm_params(self.ssm_cfg, rng))
 
         self.weights["ffn_norm.weight"] = Tensor(np.ones(cfg.d_model), requires_grad=True)
         if spec.moe:
@@ -67,21 +66,16 @@ class Block:
 
     def mixer(self, normed: Tensor, positions: np.ndarray, cache=None) -> Tensor:
         """Mixer output; `cache` is this block's decode state (see `decode`)."""
-        if self.kind == "attn":
-            return attention_forward(
-                normed, self.weights, self.attn_cfg, self.rope, positions, cache=cache
+        if self.kind == "intra":
+            return intra_hybrid_forward(
+                normed, self.weights, self.intra_cfg, self.fusion, positions,
+                lambda_init=self.lambda_init, chunk=SSM_CHUNK, cache=cache,
             )
-        if self.kind == "swa":
-            window, sink = self.cfg.block_window(self.spec)
-            mask = swa_mask(normed.shape[1], window, sink)
-            return attention_forward(
-                normed, self.weights, self.attn_cfg, self.rope, positions, mask=mask, cache=cache
-            )
-        if self.kind == "mamba":
+        if self.attn_cfg is None:
             return ssm_forward(normed, self.weights, self.ssm_cfg, chunk=SSM_CHUNK, state=cache)
-        return intra_hybrid_forward(
-            normed, self.weights, self.intra_cfg, self.fusion, positions,
-            lambda_init=self.lambda_init, chunk=SSM_CHUNK, cache=cache,
+        mask = None if self.window is None else swa_mask(normed.shape[1], *self.window)
+        return attention_forward(
+            normed, self.weights, self.attn_cfg, self.rope, positions, mask=mask, cache=cache
         )
 
     def ffn(self, normed: Tensor) -> Tensor:

@@ -21,6 +21,8 @@ repr-level precision; readers get strings and convert as needed.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from typing import Iterable
 
@@ -65,26 +67,40 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], meta: dict | None
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
+    """Tensors and meta; a short, corrupt or overlong file is a ContractError."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            # checked before reading, so a corrupt length allocates nothing
+            if f.tell() + n > size:
+                raise ContractError(f"{path}: truncated checkpoint (short {what})")
+            return f.read(n)
+
+        def unpack(fmt: str, what: str) -> int:
+            return struct.unpack(fmt, read(struct.calcsize(fmt), what))[0]
+
         if f.read(4) != CHECKPOINT_MAGIC:
             raise ContractError(f"{path}: not a checkpoint (bad magic)")
-        (version,) = struct.unpack("<I", f.read(4))
+        version = unpack("<I", "version")
         if version != CHECKPOINT_VERSION:
             raise ContractError(f"{path}: unsupported checkpoint version {version}")
-        (meta_len,) = struct.unpack("<Q", f.read(8))
-        meta = json.loads(f.read(meta_len).decode()) if meta_len else {}
-        (count,) = struct.unpack("<I", f.read(4))
+        meta_len = unpack("<Q", "meta length")
+        meta = json.loads(read(meta_len, "meta").decode()) if meta_len else {}
+        count = unpack("<I", "tensor count")
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", f.read(4))
-            name = f.read(name_len).decode()
-            (code,) = struct.unpack("<B", f.read(1))
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(ndim))
+            name = read(unpack("<I", "name length"), "name").decode()
+            code = unpack("<B", f"dtype of {name!r}")
+            if code not in _CODE_DTYPES:
+                raise ContractError(f"{path}: unknown dtype code {code} for {name!r}")
             dtype = _CODE_DTYPES[code]
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(n * dtype.itemsize), dtype=dtype)
-            tensors[name] = data.reshape(shape).copy()
+            ndim = unpack("<I", f"ndim of {name!r}")
+            shape = tuple(unpack("<Q", f"shape of {name!r}") for _ in range(ndim))
+            data = read(math.prod(shape) * dtype.itemsize, f"data of {name!r}")
+            tensors[name] = np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+        if f.tell() != size:
+            raise ContractError(f"{path}: {size - f.tell()} trailing bytes after {count} tensors")
     return tensors, meta
 
 

@@ -20,7 +20,7 @@ desk-scale clarity and exact reproducibility, not throughput:
 
 The op set is deliberately small: broadcasting arithmetic, batched
 matmul, reductions, shape surgery, the handful of activations
-the models need, and fused softmax / masked-softmax / cross-entropy
+the models need, and fused (optionally masked) softmax and cross-entropy
 kernels with analytic backward rules. The fused attention kernel
 (`attention_core`) takes q, k, v in the model's (B, L, heads, d) layout,
 with grouped KV heads and an optional mask, and records one node: it
@@ -543,37 +543,24 @@ def concat(tensors, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def softmax_lastdim(a) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim == 0 or a.shape[-1] == 0:
-        raise DimensionError("softmax needs a non-empty last dimension")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+def softmax_lastdim(a, mask: np.ndarray | None = None) -> Tensor:
+    """Softmax over the last dim, or over its visible entries.
 
-    def bwd(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _make("softmax", out, (a,), bwd)
-
-
-def masked_softmax_lastdim(a, mask: np.ndarray) -> Tensor:
-    """Softmax over the visible entries of the last dim.
-
-    `mask` is a boolean numpy array broadcastable to `a`; False lanes get
-    exactly-zero weight (they receive an additive -inf on the internal
-    scratch buffer, never on a tensor value). Every row must keep at
-    least one visible entry.
+    With `mask`, a boolean numpy array broadcastable to `a`, False lanes
+    get exactly-zero weight (they receive an additive -inf on the
+    internal scratch buffer, never on a tensor value), and every row
+    must keep at least one visible entry.
     """
     a = as_tensor(a)
     if a.ndim == 0 or a.shape[-1] == 0:
         raise DimensionError("softmax needs a non-empty last dimension")
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
-    if not mask.any(axis=-1).all():
-        raise ContractError("masked softmax row with no visible entries")
-    scratch = np.where(mask, a.data, -np.inf)
-    shifted = scratch - scratch.max(axis=-1, keepdims=True)
+    scores = a.data
+    if mask is not None:
+        mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
+        if not mask.any(axis=-1).all():
+            raise ContractError("masked softmax row with no visible entries")
+        scores = np.where(mask, scores, -np.inf)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)            # exp(-inf) underflows to exactly 0
     out = e / e.sum(axis=-1, keepdims=True)
 
@@ -581,7 +568,7 @@ def masked_softmax_lastdim(a, mask: np.ndarray) -> Tensor:
         dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
-    return _make("masked_softmax", out, (a,), bwd)
+    return _make("softmax", out, (a,), bwd)
 
 
 def normalize_lastdim(x, weight, eps: float, center: bool = False) -> Tensor:

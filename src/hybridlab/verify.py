@@ -41,7 +41,7 @@ def _run(suite: str, name: str, fn) -> PropertyResult:
 
 
 def _suite_tensor() -> list[PropertyResult]:
-    from .tensor import ContractError, exp, masked_softmax_lastdim, matmul, softmax_lastdim, tsum
+    from .tensor import ContractError, exp, matmul, softmax_lastdim, tsum
 
     out = []
 
@@ -73,7 +73,7 @@ def _suite_tensor() -> list[PropertyResult]:
         rng = named_rng(7, "verify-mask")
         x = Tensor(rng.normal(size=(4, 4)) * 50)
         mask = np.tril(np.ones((4, 4), dtype=bool))
-        p = masked_softmax_lastdim(x, mask).data
+        p = softmax_lastdim(x, mask).data
         hidden = p[~mask]
         return bool(np.all(hidden == 0.0)), f"max hidden weight {hidden.max():.1e}"
 
@@ -215,7 +215,7 @@ def _suite_attention() -> list[PropertyResult]:
     def fused_kernel_equals_composed():
         from .attention import attention_context, causal_mask, repeat_kv_heads
         from .nn import apply_rope
-        from .tensor import masked_softmax_lastdim, matmul
+        from .tensor import matmul, softmax_lastdim
 
         cfg, rope, weights = _toy_attn()
         seq = 131                              # nine query tiles, the last one partial
@@ -234,7 +234,7 @@ def _suite_attention() -> list[PropertyResult]:
             v = repeat_kv_heads(heads("wv", cfg.n_kv_heads, cfg.d_v), cfg.group_size)
             scores = matmul(q, k.swapaxes(1, 2).swapaxes(-1, -2)) * (cfg.d_qk ** -0.5)
             for mask in (causal_mask(seq), swa_mask(seq, window=8, sink=3)):
-                probs = masked_softmax_lastdim(scores, mask)
+                probs = softmax_lastdim(scores, mask)
                 want = matmul(probs, v.swapaxes(1, 2)).swapaxes(1, 2).data
                 got = attention_context(x, weights, cfg, rope, pos, mask=mask).data
                 worst = max(worst, float(np.abs(got - want).max()))

@@ -18,11 +18,11 @@ from hybridlab.tensor import (
     Tensor,
     attention_core,
     backward,
-    masked_softmax_lastdim,
     matmul,
     named_rng,
     no_grad,
     reset_tape,
+    softmax_lastdim,
 )
 
 TINY = AttnConfig(d_model=16, n_heads=4, n_kv_heads=2, d_qk=4, d_v=4)
@@ -160,9 +160,7 @@ def composed_attention(q, k, v, mask):
     k = repeat_kv_heads(k, group).swapaxes(1, 2)
     v = repeat_kv_heads(v, group).swapaxes(1, 2)
     scores = matmul(q, k.swapaxes(-1, -2)) * (q.shape[-1] ** -0.5)
-    if mask is None:
-        mask = np.ones(scores.shape[-2:], dtype=bool)
-    return matmul(masked_softmax_lastdim(scores, mask), v).swapaxes(1, 2)
+    return matmul(softmax_lastdim(scores, mask), v).swapaxes(1, 2)
 
 
 MASK_KINDS = ["causal", "swa", "swa-mid", "none"]

@@ -4,8 +4,10 @@ import sys
 import pytest
 
 from hybridlab.cli import main
+from hybridlab.config import preset
 from hybridlab.layout import load_layout
-from hybridlab.serialize import read_csv, read_niah_csv
+from hybridlab.model import HybridModel
+from hybridlab.serialize import read_csv, read_niah_csv, save_model
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +170,16 @@ def test_eval_nll_stream_file(tmp_path, capsys):
     assert [r[0] for r in rows] == ["0", "16", "32"]
     # bools serialize as 0/1; buckets at or past train_len are flagged
     assert [r[2] for r in rows] == ["0", "1", "1"]
+
+
+def test_eval_on_a_truncated_checkpoint_is_an_error(tmp_path, capsys):
+    ckpt = tmp_path / "model.bin"
+    save_model(str(ckpt), HybridModel(*preset("toy-llama"), seed=0))
+    ckpt.write_bytes(ckpt.read_bytes()[:30])
+    assert main(["eval", "--task", "nll", "--preset", "toy-llama",
+                 "--ckpt", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "model.bin: truncated checkpoint" in err
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from hybridlab.attention import AttnConfig
 from hybridlab.config import preset
 from hybridlab.costs import (
     CACHE_BYTES_PER_ELEMENT,
@@ -27,6 +28,7 @@ from hybridlab.costs import (
 )
 from hybridlab.layout import BlockSpec, uniform_layout
 from hybridlab.model import HybridModel
+from hybridlab.ssm import SsmConfig
 
 def report_for(name):
     cfg, layout = preset(name)
@@ -248,3 +250,26 @@ def test_cost_outputs_are_pinned(key, seq_len):
         cache_bytes(layout, cfg, seq_len),
     )
     assert got == PINNED_COSTS[key, seq_len]
+
+
+# toy dims: d_model 64, 8 heads of 8 on 4 KV heads, d_ssm 128 in heads of
+# 16, d_state 16, window 8 + sink 2; intra halves the heads (4 fused heads
+# of 16, d_qk 8 at 1:1) and gives its SSM branch half of d_ssm
+TOY_ATTN = AttnConfig(d_model=64, n_heads=8, n_kv_heads=4, d_qk=8, d_v=8)
+TOY_SSM = SsmConfig(d_model=64, d_ssm=128, d_head=16, d_state=16, n_conv=4)
+
+
+@pytest.mark.parametrize("spec,branches", [
+    (BlockSpec("attn"), (TOY_ATTN, None, None)),
+    (BlockSpec("swa"), (TOY_ATTN, (8, 2), None)),
+    (BlockSpec("swa", window=5, sink=1), (TOY_ATTN, (5, 1), None)),
+    (BlockSpec("mamba"), (None, None, TOY_SSM)),
+    (BlockSpec("intra"), (
+        AttnConfig(d_model=64, n_heads=4, n_kv_heads=2, d_qk=8, d_v=16),
+        None,
+        SsmConfig(d_model=64, d_ssm=64, d_head=16, d_state=16, n_conv=4, gated_norm=False),
+    )),
+], ids=["attn", "swa", "swa-5+1", "mamba", "intra"])
+def test_block_branches_per_kind(spec, branches):
+    cfg, _ = preset("toy-intra")
+    assert cfg.block_branches(spec) == branches

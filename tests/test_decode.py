@@ -66,6 +66,19 @@ def test_state_bytes_match_at_every_step():
         assert state.cache_bytes() == hl.cache_bytes(layout, cfg, state.position)
 
 
+def test_a_per_block_window_reaches_the_rolling_cache():
+    cfg, _ = preset("toy-swa")
+    layout = LayoutSpec((BlockSpec("attn"), BlockSpec("swa", window=5, sink=1)))
+    model = HybridModel(cfg, layout, seed=0)
+    state, _ = prefill(model, np.zeros((1, 3), dtype=np.int64))
+    full, rolling = state.caches
+    assert isinstance(full, FullKV) and isinstance(rolling, RollingKV)
+    assert (rolling.window, rolling.sink) == (5, 1)
+    for t in range(20):
+        decode_step(model, state, t % cfg.vocab)
+        assert state.cache_bytes() == hl.cache_bytes(layout, cfg, state.position)
+
+
 def test_prefill_rejects_empty_prompt():
     cfg, layout = preset("toy-llama")
     model = HybridModel(cfg, layout, seed=0)

@@ -50,6 +50,42 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         load_checkpoint(str(path))
 
 
+def _small_checkpoint(tmp_path) -> bytes:
+    path = tmp_path / "small.bin"
+    save_checkpoint(str(path), {"w": np.arange(6.0).reshape(2, 3)}, {"seed": 7})
+    return path.read_bytes()
+
+
+# byte offsets in that file: magic 4 and version 4, meta length 8, meta 11,
+# count 4, then for "w": name length 4, name 1, dtype 1, ndim 4, dims 16, data 48
+@pytest.mark.parametrize("cut,part", [
+    (6, "version"), (20, "meta"), (35, "name"), (45, "shape"), (80, "data"),
+])
+def test_truncated_checkpoint_is_a_contract_error(tmp_path, cut, part):
+    blob = _small_checkpoint(tmp_path)
+    assert len(blob) == 105
+    path = tmp_path / "cut.bin"
+    path.write_bytes(blob[:cut])
+    with pytest.raises(ContractError, match=rf"cut\.bin: truncated checkpoint \(short {part}"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_an_unknown_dtype_code(tmp_path):
+    blob = bytearray(_small_checkpoint(tmp_path))
+    blob[36] = 9
+    path = tmp_path / "bad.bin"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ContractError, match=r"bad\.bin: unknown dtype code 9 for 'w'"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "long.bin"
+    path.write_bytes(_small_checkpoint(tmp_path) + b"\0")
+    with pytest.raises(ContractError, match=r"long\.bin: 1 trailing bytes after 1 tensors"):
+        load_checkpoint(str(path))
+
+
 def test_model_round_trip_includes_buffers(tmp_path):
     cfg, _ = preset("toy-llama")
     layout = uniform_layout(2, BlockSpec(kind="attn", moe=True))

@@ -10,6 +10,7 @@ from hybridlab.harness import masked_next_token_loss
 from hybridlab.layout import LayoutSpec
 from hybridlab.model import HybridModel
 from hybridlab.tensor import (
+    ContractError,
     DimensionError,
     default_tape,
     NonFiniteError,
@@ -19,7 +20,6 @@ from hybridlab.tensor import (
     cross_entropy_logits,
     embedding_lookup,
     exp,
-    masked_softmax_lastdim,
     matmul,
     named_rng,
     no_grad,
@@ -70,16 +70,23 @@ def test_masked_softmax_hidden_lanes_are_exactly_zero():
     rng = named_rng(0, "masked")
     scores = Tensor(rng.normal(size=(4, 6)))
     mask = np.triu(np.ones((4, 6)))
-    p = masked_softmax_lastdim(scores, mask).data
+    p = softmax_lastdim(scores, mask).data
     assert (p[mask == 0] == 0.0).all()
     assert np.allclose(p.sum(axis=-1), 1.0)
+
+
+def test_masked_softmax_rejects_a_row_with_no_visible_entry():
+    mask = np.ones((3, 4), dtype=bool)
+    mask[1] = False
+    with pytest.raises(ContractError, match="no visible entries"):
+        softmax_lastdim(Tensor(np.zeros((3, 4))), mask)
 
 
 def test_masked_softmax_grad_does_not_leak_through_mask():
     rng = named_rng(0, "maskgrad")
     scores = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     mask = np.tril(np.ones((3, 4)))
-    p = masked_softmax_lastdim(scores, mask)
+    p = softmax_lastdim(scores, mask)
     backward(tsum(p * p))
     assert (scores.grad[mask == 0] == 0.0).all()
 
