@@ -58,8 +58,9 @@ print("\nrope norm drift:", float(np.abs(
 # ---------------------------------------------------------------------------
 # 4. the selective scan agrees with its one-token-at-a-time form
 # ---------------------------------------------------------------------------
-# The chunked scan is how training runs; the step fold is how decoding
-# runs. They are the same recurrence, so outputs must match to noise.
+# The chunked scan is how training, prefill and decoding run; the step
+# fold is its composed reference. They are the same recurrence, so
+# outputs must match to noise.
 
 scfg = SsmConfig(d_model=6, d_ssm=8, d_head=4, d_state=4, n_conv=3)
 sweights = init_ssm_params(scfg, rng)

@@ -160,12 +160,20 @@ class HybridModel:
         extra = set(arrays) - set(params)
         if missing or extra:
             raise ContractError(f"state mismatch: missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]}")
-        for name, tensor in params.items():
-            arr = np.asarray(arrays[name], dtype=tensor.data.dtype)
-            if arr.shape != tensor.shape:
-                raise ContractError(f"shape mismatch for {name}: {arr.shape} vs {tensor.shape}")
-            tensor.data = arr
-        for i, block in enumerate(self.blocks):
-            key = f"blocks.{i}.moe.expert_bias"
-            if buffers and key in buffers and block.moe_state is not None:
-                block.moe_state.expert_bias = np.asarray(buffers[key], dtype=np.float64)
+        routers = {
+            f"blocks.{i}.moe.expert_bias": block.moe_state
+            for i, block in enumerate(self.blocks) if block.moe_state is not None
+        }
+        # every array is checked before any is assigned: a bad file loads nothing
+        loaded = {name: np.asarray(arrays[name], dtype=t.data.dtype) for name, t in params.items()}
+        biases = {k: np.asarray(v, dtype=np.float64) for k, v in (buffers or {}).items() if k in routers}
+        for name, arr in loaded.items():
+            if arr.shape != params[name].shape:
+                raise ContractError(f"shape mismatch for {name}: {arr.shape} vs {params[name].shape}")
+        for name, arr in {**loaded, **biases}.items():
+            if not np.isfinite(arr).all():
+                raise ContractError(f"non-finite values in {name}")
+        for name, arr in loaded.items():
+            params[name].data = arr
+        for key, arr in biases.items():
+            routers[key].expert_bias = arr

@@ -67,7 +67,8 @@ def save_checkpoint(path: str, tensors: dict[str, np.ndarray], meta: dict | None
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
-    """Tensors and meta; a short, corrupt or overlong file is a ContractError."""
+    """Tensors and meta; a short, corrupt or overlong file is a ContractError
+    that names the file."""
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
 
@@ -80,17 +81,26 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         def unpack(fmt: str, what: str) -> int:
             return struct.unpack(fmt, read(struct.calcsize(fmt), what))[0]
 
+        def text(n: int, what: str) -> str:
+            try:
+                return read(n, what).decode()
+            except UnicodeDecodeError as err:
+                raise ContractError(f"{path}: corrupt checkpoint ({what} is not UTF-8)") from err
+
         if f.read(4) != CHECKPOINT_MAGIC:
             raise ContractError(f"{path}: not a checkpoint (bad magic)")
         version = unpack("<I", "version")
         if version != CHECKPOINT_VERSION:
             raise ContractError(f"{path}: unsupported checkpoint version {version}")
         meta_len = unpack("<Q", "meta length")
-        meta = json.loads(read(meta_len, "meta").decode()) if meta_len else {}
+        try:
+            meta = json.loads(text(meta_len, "meta")) if meta_len else {}
+        except json.JSONDecodeError as err:
+            raise ContractError(f"{path}: corrupt checkpoint (meta is not JSON: {err})") from err
         count = unpack("<I", "tensor count")
         tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            name = read(unpack("<I", "name length"), "name").decode()
+            name = text(unpack("<I", "name length"), "name")
             code = unpack("<B", f"dtype of {name!r}")
             if code not in _CODE_DTYPES:
                 raise ContractError(f"{path}: unknown dtype code {code} for {name!r}")

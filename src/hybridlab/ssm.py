@@ -2,7 +2,7 @@
 
 One block maps (batch, seq, d_model) -> (batch, seq, d_model):
 
-  in_proj -> [z | x | B | C | dt]
+  in_proj -> [z | x | B | C | dt]                      (one matmul)
   causal depthwise conv + SiLU over the concatenated (x, B, C) channels
   dt = softplus(dt_raw + dt_bias)
   per head h:   a_t = exp(-dt_t * exp(A_log_h))        (exact decay)
@@ -11,19 +11,17 @@ One block maps (batch, seq, d_model) -> (batch, seq, d_model):
   gated norm:   y <- rmsnorm(y * silu(z)) * w          (full block only)
   out_proj
 
-Two equivalent evaluation orders are provided: a token-by-token fold
-(`ssm_step_core`, composed of tape ops) and a chunked matrix form
-(`ssm_scan`). The scan is one fused op with an analytic backward, in
-the SSD form (Dao & Gu 2024): all chunks of a 64-token slab are
-evaluated at once as masked (chunk x chunk) score matrices, and only
-the state carried from chunk to chunk runs as a loop, forward and in
-reverse. `causal_conv` is one op as well. Both orders are exactly
-causal; they agree to ~1e-12 at double precision, in values and in
-gradients, and the tests pin that equivalence. There is one block path,
-`ssm_context` (plus norm and out projection in `ssm_forward`), with an
-optional decode state: a sequence runs the scan, and a single token
-against a state runs the fold. `ssm_step` is that path on one token;
-a prompt runs `ssm_forward` against `init_ssm_state`.
+The model path has one recurrence, `ssm_scan`: one fused op with an
+analytic backward, in the SSD chunked form (Dao & Gu 2024). All chunks
+of a 64-token slab are evaluated at once as masked (chunk x chunk)
+score matrices, and only the state carried from chunk to chunk runs as
+a loop, forward and in reverse. `causal_conv` is one op as well. One
+block path, `ssm_context` (plus norm and out projection in
+`ssm_forward`) with an optional decode state, serves training, a prompt
+and a single decode token. `ssm_step` is the composed reference: one
+token through the fold `ssm_step_core`, made of tape ops. Folded over a
+sequence it must equal the scan; the two orders are exactly causal and
+agree to ~1e-12 at double precision, in values and in gradients.
 
 The recurrent state per head is (d_head, d_state); its size does not
 depend on sequence length, which is the whole point.
@@ -156,35 +154,30 @@ def ssm_featurize(
 
     x: (B, L, d_model). Returns (z, xs, Bm, Cm, dt) with shapes
     (B, L, d_ssm), (B, L, H, P), (B, L, G, N), (B, L, G, N), (B, L, H);
-    dt is post-softplus. Each block of in_proj columns is its own
-    matmul, and the conv runs on the x channels and on the B, C channels
-    as two blocks, so no full-width activation is sliced. With a decode
-    `state`, the conv continues from its ring, and the ring then moves
-    on to the last n_conv - 1 raw inputs.
+    dt is post-softplus. One in_proj matmul is sliced into z, x | B | C
+    and dt, and one conv + SiLU over x | B | C into x, B and C: views of
+    activations, never of a weight. With a decode `state`, the conv
+    continues from `state.conv_buf`, which then moves on to the last
+    n_conv - 1 raw x | B | C rows.
     """
     if x.ndim != 3:
         raise DimensionError(f"ssm expects (batch, seq, d_model), got {x.shape}")
-    w_in = weights[f"{prefix}.in_proj"]
-    conv_w, conv_b = weights[f"{prefix}.conv.weight"], weights[f"{prefix}.conv.bias"]
     d, gn, h = cfg.d_ssm, cfg.n_groups * cfg.d_state, cfg.n_heads
-    history = None if state is None else state.conv_buf.data
-    raw, conved = [], []
-    for lo, hi in ((0, d), (d, d + 2 * gn)):             # conv channels: x, then B and C
-        raw.append(matmul(x, w_in[:, d + lo : d + hi]))
-        hist = None if history is None else Tensor(history[:, :, lo:hi])
-        conved.append(silu(causal_conv(raw[-1], conv_w[lo:hi], conv_b[lo:hi], hist)))
+    b, l = x.shape[0], x.shape[1]
+    proj = matmul(x, weights[f"{prefix}.in_proj"])       # (B, L, d_in_proj)
+    raw = proj[:, :, d : 2 * d + 2 * gn]
+    history = None if state is None else state.conv_buf
+    conved = silu(causal_conv(raw, weights[f"{prefix}.conv.weight"], weights[f"{prefix}.conv.bias"], history))
     keep = cfg.n_conv - 1
     if state is not None and keep > 0:
-        recent = np.concatenate([r.data[:, -keep:] for r in raw], axis=-1)
-        # a copy, so the ring does not pin the whole prompt behind a view
-        state.conv_buf = Tensor(np.concatenate([history, recent], axis=1)[:, -keep:].copy())
-    b, l = x.shape[0], x.shape[1]
-    z = matmul(x, w_in[:, :d])
-    xs = conved[0].reshape(b, l, h, cfg.d_head)
-    bm = conved[1][:, :, :gn].reshape(b, l, cfg.n_groups, cfg.d_state)
-    cm = conved[1][:, :, gn:].reshape(b, l, cfg.n_groups, cfg.d_state)
-    dt = softplus(matmul(x, w_in[:, 2 * d + 2 * gn :]) + weights[f"{prefix}.dt_bias"])
-    return z, xs, bm, cm, dt
+        # a fresh array, so the ring does not pin the in_proj output
+        tail = history.data[:, min(l, keep) :]
+        state.conv_buf = Tensor(np.concatenate([tail, raw.data[:, -keep:]], axis=1))
+    xs = conved[:, :, :d].reshape(b, l, h, cfg.d_head)
+    bm = conved[:, :, d : d + gn].reshape(b, l, cfg.n_groups, cfg.d_state)
+    cm = conved[:, :, d + gn :].reshape(b, l, cfg.n_groups, cfg.d_state)
+    dt = softplus(proj[:, :, 2 * d + 2 * gn :] + weights[f"{prefix}.dt_bias"])
+    return proj[:, :, :d], xs, bm, cm, dt
 
 
 # Tokens per scan slab. The scan walks the sequence in slabs of whole
@@ -433,27 +426,17 @@ def ssm_context(
 ) -> Tensor:
     """Featurize, scan, silu(z) gate: (B, L, d_model) -> (B, L, H, P).
 
-    With a decode `state` the sequence continues from it, and the state
-    is advanced in place to the end of the sequence. One token against
-    a state runs `ssm_step_core`, the fold the scan is tested against.
+    `ssm_scan` runs for every length, one token included. With a decode
+    `state` the sequence continues from it, and the state is advanced in
+    place to the end of the sequence.
     """
     z, xs, bm, cm, dt = ssm_featurize(x, weights, cfg, prefix, state)
     a_log, d_skip = weights[f"{prefix}.A_log"], weights[f"{prefix}.D"]
-    b, l = x.shape[0], x.shape[1]
     if state is None:
         y = ssm_scan(xs, dt, bm, cm, a_log, d_skip, chunk=chunk)
-    elif l == 1:
-        h, g = cfg.n_heads, cfg.n_groups
-        y, state.h = ssm_step_core(
-            xs.reshape(b, h, cfg.d_head), dt.reshape(b, h), bm.reshape(b, g, cfg.d_state),
-            cm.reshape(b, g, cfg.d_state), a_log, d_skip, state.h,
-        )
-        y = y.reshape(b, 1, h, cfg.d_head)
     else:
-        y, state.h = ssm_scan(
-            xs, dt, bm, cm, a_log, d_skip, h0=state.h, chunk=chunk, return_state=True
-        )
-    return silu_mul(z.reshape(b, l, cfg.n_heads, cfg.d_head), y)
+        y, state.h = ssm_scan(xs, dt, bm, cm, a_log, d_skip, h0=state.h, chunk=chunk, return_state=True)
+    return silu_mul(z.reshape(xs.shape), y)
 
 
 def ssm_forward(
@@ -483,14 +466,21 @@ def ssm_step(
     state: SsmState,
     prefix: str = "ssm",
 ) -> tuple[Tensor, SsmState]:
-    """Single-token block pass: x_t (B, d_model) -> (B, d_model).
+    """The composed reference for one token: x_t (B, d_model) -> (B, d_model).
 
-    `ssm_forward` on one token; returns the output and a new state,
-    leaving `state` as it was.
+    `ssm_featurize` against a copy of the state, `ssm_step_core`, the gate,
+    norm and out projection; returns a new state, leaving `state` alone.
     """
     if x_t.ndim != 2:
         raise DimensionError(f"ssm_step expects (batch, d_model), got {x_t.shape}")
-    b = x_t.shape[0]
+    b, h, g = x_t.shape[0], cfg.n_heads, cfg.n_groups
     new = SsmState(conv_buf=state.conv_buf, h=state.h)
-    out = ssm_forward(x_t.reshape(b, 1, cfg.d_model), weights, cfg, prefix=prefix, state=new)
-    return out.reshape(b, cfg.d_model), new
+    z, xs, bm, cm, dt = ssm_featurize(x_t.reshape(b, 1, cfg.d_model), weights, cfg, prefix, new)
+    y, new.h = ssm_step_core(
+        xs.reshape(b, h, cfg.d_head), dt.reshape(b, h), bm.reshape(b, g, cfg.d_state),
+        cm.reshape(b, g, cfg.d_state), weights[f"{prefix}.A_log"], weights[f"{prefix}.D"], state.h,
+    )
+    gated = silu_mul(z.reshape(b, h, cfg.d_head), y).reshape(b, cfg.d_ssm)
+    if cfg.gated_norm:
+        gated = rms_norm(gated, weights[f"{prefix}.norm.weight"])
+    return matmul(gated, weights[f"{prefix}.out_proj"]), new

@@ -12,8 +12,13 @@ desk-scale clarity and exact reproducibility, not throughput:
 * ``backward`` keeps ``.grad`` on leaves only (tensors no op produced,
   such as parameters), and ``reset_tape`` cuts the recorded graph's links
   so reference counting frees it at once;
-* any op whose output contains a non-finite value raises immediately
-  (``NonFiniteError``) instead of letting NaNs propagate silently;
+* any op that computes values, and ``Tensor(...)`` on outside data, raises
+  ``NonFiniteError`` at once on a non-finite value instead of letting NaNs
+  propagate; the views ``reshape``, ``swapaxes`` and ``getitem`` skip the
+  check, as they only pick entries that passed it. ``getitem`` returns
+  numpy's result (a view for a basic index), and its gradient is an
+  (index, values) pair that ``backward`` adds into one zero buffer per
+  source, with ``np.add.at`` for an advanced index, which may repeat;
 * randomness comes only from counter-based generators keyed by an
   explicit 64-bit seed plus a stream name, so identical seeds give
   bit-identical results across runs and platforms.
@@ -129,7 +134,7 @@ class TapeNode:
         self.op = op                # str, for diagnostics
         self.inputs = inputs        # tuple[Tensor, ...]
         self.out = out              # Tensor
-        self.backward = backward    # grad_out -> tuple of grads (or None) per input
+        self.backward = backward    # grad_out -> per input a grad, None or getitem's (index, values)
 
 
 class GradTape:
@@ -277,9 +282,10 @@ def _finite_or_raise(arr: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"op {op!r} produced non-finite values")
 
 
-def _make(op: str, out_data: np.ndarray, inputs: tuple, backward_fn) -> Tensor:
-    """Wrap an op result: finiteness guard, grad flag, tape node."""
-    _finite_or_raise(out_data, op)
+def _make(op: str, out_data: np.ndarray, inputs: tuple, backward_fn, check: bool = True) -> Tensor:
+    """Wrap an op result: finiteness guard (off for views), grad flag, tape node."""
+    if check:
+        _finite_or_raise(out_data, op)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
@@ -501,26 +507,28 @@ def reshape(a, shape) -> Tensor:
     shape = tuple(shape)
     out = a.data.reshape(shape)
     src = a.shape
-    return _make("reshape", out, (a,), lambda g: (g.reshape(src),))
+    return _make("reshape", out, (a,), lambda g: (g.reshape(src),), False)
 
 
 def swapaxes(a, ax1: int, ax2: int) -> Tensor:
     a = as_tensor(a)
     out = a.data.swapaxes(ax1, ax2)
-    return _make("swapaxes", out, (a,), lambda g: (g.swapaxes(ax1, ax2),))
+    return _make("swapaxes", out, (a,), lambda g: (g.swapaxes(ax1, ax2),), False)
 
 
 def getitem(a, index) -> Tensor:
+    """a[index], a view for basic indexing; the gradient is an (index, values) pair."""
     a = as_tensor(a)
-    out = a.data[index]
-    src_shape = a.shape
+    return _make("getitem", a.data[index], (a,), lambda g: ((index, g),), False)
 
-    def bwd(g):
-        full = np.zeros(src_shape, dtype=g.dtype)
-        full[index] += g
-        return (full,)
 
-    return _make("getitem", np.ascontiguousarray(out), (a,), bwd)
+def _scatter_add(acc: np.ndarray, index, values: np.ndarray) -> None:
+    """acc[index] += values; np.add.at where an advanced index may repeat an entry."""
+    items = index if isinstance(index, tuple) else (index,)
+    if all(i is None or i is Ellipsis or isinstance(i, (int, np.integer, slice)) for i in items):
+        acc[index] += values
+    else:
+        np.add.at(acc, index, values)
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -822,7 +830,7 @@ def cross_entropy_logits(logits, targets: np.ndarray, position_mask: np.ndarray 
 
 
 def embedding_lookup(weight, ids: np.ndarray) -> Tensor:
-    """Row gather: weight (vocab, dim), ids integer array (...)."""
+    """Row gather: weight (vocab, dim), ids integer array (...); the gradient scatters as getitem's."""
     weight = as_tensor(weight)
     ids = np.asarray(ids)
     if not np.issubdtype(ids.dtype, np.integer):
@@ -831,14 +839,7 @@ def embedding_lookup(weight, ids: np.ndarray) -> Tensor:
         raise DimensionError("embedding weight must be 2-d")
     if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[0]):
         raise ContractError("token id outside vocab")
-    out = weight.data[ids]
-
-    def bwd(g):
-        full = np.zeros(weight.shape, dtype=g.dtype)
-        np.add.at(full, ids, g)
-        return (full,)
-
-    return _make("embedding", out, (weight,), bwd)
+    return _make("embedding", weight.data[ids], (weight,), lambda g: ((ids, g),))
 
 
 # ---------------------------------------------------------------------------
@@ -877,18 +878,20 @@ def backward(loss: Tensor) -> None:
             if g is None or not t.requires_grad:
                 continue
             key = id(t)
-            if t.node is None:
-                if t.grad is None:
-                    t.grad = g
-                elif key in owned:
-                    t.grad += g
-                else:
-                    t.grad = t.grad + g
-                    owned.add(key)
-            elif key not in grads:
-                grads[key] = g
-            elif key in owned:
-                grads[key] += g
-            else:
-                grads[key] = grads[key] + g
+            acc = t.grad if t.node is None else grads.get(key)
+            if isinstance(g, tuple):                    # getitem's (index, values)
+                if key not in owned:
+                    acc = np.zeros(t.shape) if acc is None else acc.copy()
+                _scatter_add(acc, *g)
                 owned.add(key)
+            elif acc is None:
+                acc = g
+            elif key in owned:
+                acc += g
+            else:
+                acc = acc + g
+                owned.add(key)
+            if t.node is None:
+                t.grad = acc
+            else:
+                grads[key] = acc

@@ -182,6 +182,17 @@ def test_eval_on_a_truncated_checkpoint_is_an_error(tmp_path, capsys):
     assert err.startswith("error: ") and "model.bin: truncated checkpoint" in err
 
 
+def test_eval_on_a_checkpoint_with_a_nan_weight_is_an_error(tmp_path, capsys):
+    model = HybridModel(*preset("toy-llama"), seed=0)
+    model.parameters()["blocks.0.attn.wq"].data[0, 0] = float("nan")
+    ckpt = tmp_path / "nan.bin"
+    save_model(str(ckpt), model)
+    assert main(["eval", "--task", "nll", "--preset", "toy-llama",
+                 "--ckpt", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite values in blocks.0.attn.wq" in err
+
+
 # ---------------------------------------------------------------------------
 # module entry point
 # ---------------------------------------------------------------------------

@@ -312,11 +312,9 @@ def test_warm_prefill_faults_in_no_fresh_pages():
     assert faults < 5000, f"{faults} minor faults in 5 warm prefills"
 
 
-def test_a_toy_llama_decode_step_makes_at_most_80_ops(monkeypatch):
-    # matmul 29, reshape 17, rms_norm 9, rope 8, add 8, attention 4,
-    # silu_mul 4, embedding 1; head transposes around attention_core
-    # would add 4 per attention block
-    cfg, layout = preset("toy-llama")
+def _decode_step_ops(monkeypatch, name):
+    """The op names one decode step makes, batch 2 after a 9-token prefill."""
+    cfg, layout = preset(name)
     model = HybridModel(cfg, layout, seed=0)
     state, _ = prefill(model, named_rng(0, "ops").integers(0, cfg.vocab, size=(2, 9)))
     ops = []
@@ -328,4 +326,21 @@ def test_a_toy_llama_decode_step_makes_at_most_80_ops(monkeypatch):
 
     monkeypatch.setattr(tensor, "_make", counted)
     decode_step(model, state, np.array([1, 2]))
+    return ops
+
+
+def test_a_toy_llama_decode_step_makes_at_most_80_ops(monkeypatch):
+    # matmul 29, reshape 17, rms_norm 9, rope 8, add 8, attention 4,
+    # silu_mul 4, embedding 1; head transposes around attention_core
+    # would add 4 per attention block
+    ops = _decode_step_ops(monkeypatch, "toy-llama")
     assert len(ops) <= 80, sorted(ops)
+
+
+@pytest.mark.parametrize("name,most", [("toy-mamba", 120), ("toy-intra", 135)])
+def test_an_ssm_decode_step_runs_the_scan_in_few_ops(monkeypatch, name, most):
+    # one in_proj matmul, one conv and one scan per SSM block: toy-mamba
+    # makes 116 ops and toy-intra 129
+    ops = _decode_step_ops(monkeypatch, name)
+    assert len(ops) <= most, sorted(ops)
+    assert "ssm_scan" in ops

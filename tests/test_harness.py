@@ -1,4 +1,5 @@
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hybridlab.harness import (
     train_model,
     trapezoid_lr,
 )
+from hybridlab.layout import LayoutSpec
 from hybridlab.model import HybridModel
 from hybridlab.tensor import ContractError, Tensor, default_tape, named_rng, reset_tape
 
@@ -291,6 +293,39 @@ def tape_kept_bytes(nodes) -> int:
         collect(node.out)
         collect(node.backward)
     return sum(bases.values())
+
+
+def _training_forward_tape(name, moe=False):
+    """(model, tape nodes) of one copy-task training forward at 16 x 64."""
+    cfg, layout = preset(name)
+    if moe:
+        layout = LayoutSpec(tuple(replace(b, moe=True) for b in layout.blocks))
+    model = HybridModel(with_vocab(cfg, 32), layout, seed=0)
+    tokens, mask = gen_copy_batch(named_rng(0, "tape"), 16, 32, 64)
+    reset_tape()
+    masked_next_token_loss(model, tokens, mask)
+    return model, list(default_tape().nodes)
+
+
+def test_a_toy_mamba_training_forward_records_few_tape_nodes():
+    # one in_proj matmul, one conv and one SiLU per block: 117 nodes
+    _, nodes = _training_forward_tape("toy-mamba")
+    reset_tape()
+    assert len(nodes) <= 120, len(nodes)
+
+
+@pytest.mark.parametrize("name,moe", [
+    ("toy-llama", False), ("toy-mamba", False), ("toy-swa", False), ("toy-inter", False),
+    ("toy-intra", False), ("toy-intra-2l", False), ("toy-inter", True),
+])
+def test_no_training_forward_slices_a_weight(name, moe):
+    # weights enter whole; only activations are sliced
+    model, nodes = _training_forward_tape(name, moe)
+    weights = {id(p): k for k, p in model.parameters().items()}
+    getitems = [n for n in nodes if n.op == "getitem"]
+    sliced = [weights[id(t)] for n in getitems for t in n.inputs if id(t) in weights]
+    reset_tape()
+    assert getitems and not sliced, sliced
 
 
 def test_training_forward_tape_bytes_stay_bounded():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,40 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
     path.write_bytes(_small_checkpoint(tmp_path) + b"\0")
     with pytest.raises(ContractError, match=r"long\.bin: 1 trailing bytes after 1 tensors"):
         load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("offset,byte,what", [
+    (16, ord("x"), r"meta is not JSON"),     # the meta's opening brace
+    (17, 0xFF, r"meta is not UTF-8"),
+    (35, 0xFF, r"name is not UTF-8"),        # the one-byte name "w"
+])
+def test_a_corrupt_meta_or_name_is_a_contract_error_naming_the_file(tmp_path, offset, byte, what):
+    blob = bytearray(_small_checkpoint(tmp_path))
+    blob[offset] = byte
+    path = tmp_path / "bad.bin"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ContractError, match=rf"bad\.bin: corrupt checkpoint \({what}"):
+        load_checkpoint(str(path))
+
+
+def _arrays(model) -> dict:
+    return {**{k: t.data for k, t in model.parameters().items()}, **model.buffers()}
+
+
+@pytest.mark.parametrize("name", ["head.weight", "blocks.1.moe.expert_bias"])
+def test_a_non_finite_weight_or_router_bias_is_a_contract_error_and_loads_nothing(tmp_path, name):
+    # a NaN expert bias would route every token to its expert
+    cfg, _ = preset("toy-llama")
+    layout = uniform_layout(2, BlockSpec(kind="attn", moe=True))
+    src = HybridModel(cfg, layout, seed=0)
+    _arrays(src)[name].reshape(-1)[1] = np.nan
+    path = str(tmp_path / "nan.bin")
+    save_model(path, src)
+    dst = HybridModel(cfg, layout, seed=1)
+    before = _arrays(dst)
+    with pytest.raises(ContractError, match=rf"non-finite values in {re.escape(name)}"):
+        load_model(path, dst)
+    assert all(arr is before[k] for k, arr in _arrays(dst).items())
 
 
 def test_model_round_trip_includes_buffers(tmp_path):

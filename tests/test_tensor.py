@@ -135,6 +135,88 @@ def test_structural_op_gradients(op):
     fd_grad_check(loss_fn, params, named_rng(1, op), coords_per_tensor=5)
 
 
+def test_a_repeated_advanced_index_sums_its_gradient():
+    x = Tensor(np.arange(4.0), requires_grad=True)
+    backward(tsum(x[np.array([0, 0, 2])]))
+    assert x.grad.tolist() == [2.0, 0.0, 1.0, 0.0]
+
+
+GETITEM_INDEXES = {
+    "slice": (slice(1, 4), slice(None)),
+    "strided": (slice(None, None, 2), slice(5, 0, -2)),
+    "bool mask": np.array([[True, False, True, True, False, False, True]] * 5),
+    "repeated": (np.array([0, 2, 2, 4, 0]), slice(1, 6)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GETITEM_INDEXES))
+def test_getitem_gradients_match_fd(kind):
+    rng = named_rng(0, f"getitem-{kind}")
+    params = {"x": Tensor(rng.normal(size=(5, 7)), requires_grad=True)}
+    index = GETITEM_INDEXES[kind]
+    probe = rng.normal(size=params["x"].data[index].shape)
+
+    def loss_fn():
+        y = params["x"][index]
+        return tsum(y * y * probe)
+
+    fd_grad_check(loss_fn, params, named_rng(1, kind), coords_per_tensor=12)
+
+
+@pytest.mark.parametrize("leaf", [True, False])
+def test_several_slices_of_one_source_sum_like_a_dense_reference(leaf):
+    # disjoint, overlapping and repeated column selections of one source,
+    # which a dense use reaches first in the sweep
+    rng = named_rng(0, f"slices-{leaf}")
+    data = rng.normal(size=(3, 10))
+    indexes = [slice(0, 4), slice(4, 10), slice(2, 7), slice(9, 0, -3), np.array([1, 1, 9])]
+    probes = [rng.normal(size=(3, len(np.arange(10)[ix]))) for ix in indexes]
+    dense = rng.normal(size=(3, 10))
+    want = dense.copy()
+    for ix, probe in zip(indexes, probes):
+        for j, col in enumerate(np.arange(10)[ix]):
+            want[:, col] += probe[:, j]
+    x = Tensor(data, requires_grad=True)
+    source = (lambda: x) if leaf else (lambda: x * 1.0)
+    src = source()
+    loss = tsum(src[:, indexes[0]] * probes[0])
+    for ix, probe in zip(indexes[1:], probes[1:]):
+        loss = loss + tsum(src[:, ix] * probe)
+    backward(loss + tsum(src * dense))
+    np.testing.assert_allclose(x.grad, want, rtol=0, atol=1e-14)
+    # a second sweep adds to the first's gradient and leaves its array alone
+    first, saved = x.grad, x.grad.copy()
+    reset_tape()
+    backward(tsum(source()[:, 0:4] * probes[0]))
+    assert np.array_equal(first, saved)
+    np.testing.assert_allclose(x.grad[:, 0:4], want[:, 0:4] + probes[0], rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(x.grad[:, 4:], saved[:, 4:])
+
+
+def test_a_basic_slice_is_a_view_of_its_source():
+    x = Tensor(np.arange(24.0).reshape(4, 6), requires_grad=True)
+    assert np.shares_memory(x[1:3, ::2].data, x.data)
+    assert np.shares_memory(x[1].data, x.data)
+    assert not np.shares_memory(x[np.array([0, 2])].data, x.data)
+
+
+def test_view_ops_pass_an_inf_on_to_the_first_op_that_computes_values():
+    w = Tensor(np.ones((4, 6)), requires_grad=True)
+    w.data[2, 3] = np.inf           # planted after the creation check
+    view = w[1:3].reshape(4, 3, 1).swapaxes(0, 1)
+    with pytest.raises(NonFiniteError, match="'mul'"):
+        view * 2.0
+
+
+def test_an_inf_in_a_conv_weight_names_the_conv():
+    cfg, layout = preset("toy-mamba")
+    model = HybridModel(with_vocab(cfg, 32), layout, seed=0)
+    model.parameters()["blocks.0.ssm.conv.weight"].data[3, 1] = np.inf
+    with pytest.raises(NonFiniteError, match="'causal_conv'"), np.errstate(invalid="ignore"):
+        masked_next_token_loss(model, named_rng(0, "inf").integers(0, 32, size=(2, 8)), None)
+    reset_tape()
+
+
 def test_dimension_contract_rejects_bad_matmul():
     with pytest.raises(DimensionError):
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
