@@ -21,7 +21,8 @@ Each KV cache keeps its keys and its values in one preallocated
 (B, slots, n_kv, d) buffer. `extend` is the only write: prefill writes
 its whole (B, L, ...) block in one slice assignment and a step writes
 one row. `read` returns views of the filled slots, valid until the
-next `extend`, so a step neither stacks nor copies the history.
+next `extend`, so a step neither stacks nor copies the history, nor
+scans it again for non-finite values.
 
 `DecodeState.cache_bytes()` measures the live caches at 2 bytes per
 element (the in-flight conv row counts toward the ring, matching the
@@ -37,7 +38,7 @@ import numpy as np
 from .costs import CACHE_BYTES_PER_ELEMENT
 from .model import Block, HybridModel
 from .ssm import SsmState, init_ssm_state
-from .tensor import ContractError, Tensor, no_grad
+from .tensor import ContractError, Tensor, checked_view, no_grad
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +54,20 @@ def _grown(buf: np.ndarray | None, filled: int, block: np.ndarray, slots: int) -
     return out
 
 
+class _KVRead:
+    """`read` for a KV cache with `k_buf`, `v_buf` and `entries`."""
+
+    def read(self) -> tuple[Tensor, Tensor]:
+        """Views of the filled slots, valid until the next `extend`.
+
+        Every slot was written by `extend` from a checked op output, so
+        the views are wrapped without a second finiteness scan.
+        """
+        return checked_view(self.k_buf[:, : self.entries]), checked_view(self.v_buf[:, : self.entries])
+
+
 @dataclass
-class FullKV:
+class FullKV(_KVRead):
     """Unbounded KV cache: slot j holds position j, key already rotated.
 
     The buffer doubles when an `extend` would overflow it, so a decode
@@ -80,13 +93,9 @@ class FullKV:
         self.v_buf[:, self.entries : end] = v
         self.entries = end
 
-    def read(self) -> tuple[Tensor, Tensor]:
-        """Views of the filled slots, valid until the next `extend`."""
-        return Tensor(self.k_buf[:, : self.entries]), Tensor(self.v_buf[:, : self.entries])
-
 
 @dataclass
-class RollingKV:
+class RollingKV(_KVRead):
     """Sink + ring KV cache: occupancy is capped at window + sink.
 
     Position p lives in slot p while p < sink, else in ring slot
@@ -125,10 +134,6 @@ class RollingKV:
         self.k_buf[:, slots] = k[:, keep]
         self.v_buf[:, slots] = v[:, keep]
         self.count = int(positions[-1]) + 1
-
-    def read(self) -> tuple[Tensor, Tensor]:
-        """Views of the filled slots, valid until the next `extend`."""
-        return Tensor(self.k_buf[:, : self.entries]), Tensor(self.v_buf[:, : self.entries])
 
 
 @dataclass

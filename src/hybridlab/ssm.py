@@ -115,29 +115,46 @@ def init_ssm_params(cfg: SsmConfig, rng: np.random.Generator, prefix: str = "ssm
 def causal_conv(u: Tensor, weight: Tensor, bias: Tensor, history: Tensor | None = None) -> Tensor:
     """Depthwise causal conv along axis 1 as one op: u (B, L, C), weight (C, K).
 
-    `history` (B, K - 1, C) holds the raw inputs just before u; None
-    means u starts the sequence, and zeros are used instead. The
-    backward correlates the output gradient with the same taps.
+    out[t] = sum over taps i of w[:, i] * u[t + i - (K - 1)] + bias. Rows
+    before u come from `history` (B, K - 1, C), the raw inputs just
+    before u; None means u starts the sequence and those terms vanish.
+    Each tap, in order, adds a shifted view of u and of the history into
+    the output, so a split sequence sums every row as the whole one does.
+    Nothing is padded or kept; the backward correlates the output
+    gradient with the same views.
     """
     channels, k = weight.shape
     if u.shape[-1] != channels:
         raise DimensionError(f"conv channels {channels} vs input {u.shape[-1]}")
-    b, seq = u.shape[0], u.shape[1]
-    front = np.zeros((b, k - 1, channels)) if history is None else history.data
-    padded = np.concatenate([front, u.data], axis=1)         # (B, K - 1 + L, C)
+    seq = u.shape[1]
     w = weight.data
-    out = padded[:, :seq] * w[:, 0]
-    for tap in range(1, k):
-        out += padded[:, tap : tap + seq] * w[:, tap]
+    lags = [min(k - 1 - tap, seq) for tap in range(k)]           # output rows before u's first
+    # tap 0 writes every row, from u and from the history or zeros before it
+    out = np.empty(u.shape)
+    np.multiply(u.data[:, : seq - lags[0]], w[:, 0], out=out[:, lags[0] :])
+    if history is None:
+        out[:, : lags[0]] = 0.0
+    else:
+        np.multiply(history.data[:, : lags[0]], w[:, 0], out=out[:, : lags[0]])
+    for tap, lag in enumerate(lags[1:], 1):
+        if lag < seq:
+            out[:, lag:] += u.data[:, : seq - lag] * w[:, tap]
+        if lag and history is not None:
+            out[:, :lag] += history.data[:, tap : tap + lag] * w[:, tap]
     out += bias.data
 
     def bwd(g):
-        g_pad = np.zeros_like(padded)
-        g_w = np.empty_like(w)
-        for tap in range(k):
-            g_pad[:, tap : tap + seq] += g * w[:, tap]
-            g_w[:, tap] = np.einsum("blc,blc->c", g, padded[:, tap : tap + seq])
-        return g_pad[:, k - 1 :], g_w, g.sum(axis=(0, 1)), g_pad[:, : k - 1]
+        g_u = np.zeros(u.shape)
+        g_w = np.zeros_like(w)
+        g_h = None if history is None else np.zeros(history.shape)
+        for tap, lag in enumerate(lags):
+            if lag < seq:
+                g_u[:, : seq - lag] += g[:, lag:] * w[:, tap]
+                g_w[:, tap] += np.einsum("blc,blc->c", g[:, lag:], u.data[:, : seq - lag])
+            if lag and history is not None:
+                g_h[:, tap : tap + lag] += g[:, :lag] * w[:, tap]
+                g_w[:, tap] += np.einsum("blc,blc->c", g[:, :lag], history.data[:, tap : tap + lag])
+        return g_u, g_w, g.sum(axis=(0, 1)), g_h
 
     inputs = (u, weight, bias) if history is None else (u, weight, bias, history)
     return tensor._make("causal_conv", out, inputs, bwd)
@@ -242,6 +259,14 @@ def ssm_scan(
     it in reverse. Returns y (B, L, H, P) including the D skip, and
     optionally the final state (B, H, P, N), which under a recording tape
     carries its own exact gradient.
+
+    The decay matrix is exp((s_i - s_j) * lower), lower the 0/1 lower
+    triangle: the lanes above the diagonal read exp(0) = 1, so they never
+    overflow for any sign of dt, and the scores C B^T are masked to zero
+    there instead. Under a recording tape a slab keeps what the backward
+    cannot rebuild in one pass (see `tensor`); its chunked x, the
+    intra-chunk map w and the end inputs v are rebuilt from the inputs
+    and the kept products, one copy and four passes.
     """
     if chunk < 1:
         raise ContractError("chunk size must be >= 1")
@@ -258,7 +283,15 @@ def ssm_scan(
     d_eye = d_skip.data.reshape(g, rep, 1, 1, 1) * np.eye(chunk)
     x_all = xs.data.reshape(b, l, g, rep, p)
     dt_all = dt.data.reshape(b, l, g, rep)
-    lower = np.tri(chunk, dtype=bool)
+    lower = np.tri(chunk)
+
+    def intra_map(lmat, dtc, scores):
+        """w + D I, the intra-chunk map: y = (w + D I) x, w = scores * exp(s_i - s_j) * dt_j."""
+        w = lmat * dtc[..., None, :]
+        w *= scores[:, :, None]
+        w += d_eye
+        return w
+
     y = np.empty(xs.shape)
     state = np.zeros((b, g, rep, p, n)) if h0 is None else h0.data.reshape(b, g, rep, p, n)
     slabs = []
@@ -269,16 +302,13 @@ def ssm_scan(
         bc = _to_chunks(bm.data, start, stop, chunk, _BC_PERM)
         cc = _to_chunks(cm.data, start, stop, chunk, _BC_PERM)
 
-        s = np.cumsum(-dtc * decay, axis=-1)                     # <= 0, falling
-        # exp(s_i - s_j) on j <= i; the exponents above the diagonal are never
-        # formed, and exp(-inf) makes those lanes exactly 0
-        lmat = np.full(s.shape + (chunk,), -np.inf)
-        np.subtract(s[..., :, None], s[..., None, :], out=lmat, where=lower)
+        s = np.cumsum(-dtc * decay, axis=-1)                     # <= 0, falling, for dt >= 0
+        lmat = s[..., :, None] - s[..., None, :]                 # exp(s_i - s_j) on j <= i, 1 above
+        lmat *= lower
         np.exp(lmat, out=lmat)
         scores = _mm(cc, bc.swapaxes(-1, -2), flip)              # (B, G, nc, C, C)
-        w = lmat * dtc[..., None, :]                             # (B, G, rep, nc, C, C)
-        w *= scores[:, :, None]
-        w += d_eye                                               # the D skip: y = (w + D I) x
+        scores *= lower                                          # 0 above the diagonal, so w is too
+        w = intra_map(lmat, dtc, scores)                         # (B, G, rep, nc, C, C)
         y_c = _mm(w, xc, flip)
 
         to_end = np.exp(s[..., -1:] - s)                         # decay to the chunk end
@@ -297,8 +327,7 @@ def ssm_scan(
         y_c += read
         y[:, start:stop] = _from_chunks(y_c, _X_PERM, stop - start).reshape(b, -1, h, p)
         if keep:
-            slabs.append((start, stop, xc, dtc, bc, cc, lmat, scores, w,
-                          to_end, wend, v, a_end, entry_k, es))
+            slabs.append((start, stop, dtc, bc, cc, lmat, scores, to_end, wend, a_end, entry_k, es))
     final = state.reshape(b, h, p, n)
 
     def bwd(gy, g_final):
@@ -308,9 +337,11 @@ def ssm_scan(
         carry = np.zeros((b, g, rep, p, n)) if g_final is None else g_final.reshape(b, g, rep, p, n)
         gy_all = gy.reshape(b, l, g, rep, p)
         for saved in reversed(slabs):
-            start, stop, xc, dtc, bc, cc, lmat, scores, w, to_end, wend, v, a_end, entry_k, es = saved
+            start, stop, dtc, bc, cc, lmat, scores, to_end, wend, a_end, entry_k, es = saved
             rows = stop - start
             gyc = _to_chunks(gy_all, start, stop, chunk, _X_PERM)
+            xc = _to_chunks(x_all, start, stop, chunk, _X_PERM)  # rebuilt, as are w and v
+            w = intra_map(lmat, dtc, scores)
             entry = np.moveaxis(entry_k, 0, 3)
             # readout: y += exp(s) * (C entry^T)
             g_read = gyc * es
@@ -324,6 +355,7 @@ def ssm_scan(
             g_d += np.einsum("bgrkii->gr", g_w)
             g_w *= lmat                                          # d/d(scores * dt_j)
             g_scores = np.einsum("bgrkij,bgrkj->bgkij", g_w, dtc)
+            g_scores *= lower                                    # the masked lanes carry none
             g_w *= scores[:, :, None]                            # d/d dt_j, before the sum over i
             g_dt = g_w.sum(axis=-2)
             # d/d s_i - d/d s_j of exp(s_i - s_j), with g_w * w summed over j and over i
@@ -342,7 +374,7 @@ def ssm_scan(
             g_end = np.moveaxis(g_end, 0, -1) * a_end            # d/d s at each chunk end
             g_delta = np.moveaxis(g_delta, 0, 3)
             # delta = x^T v, v = exp(s_end - s) * dt * B
-            gx += _mm(v, g_delta.swapaxes(-1, -2), flip)
+            gx += _mm(wend[..., None] * bc[:, :, None], g_delta.swapaxes(-1, -2), flip)
             g_v = _mm(xc, g_delta, flip)                         # (B, G, rep, nc, C, N)
             g_bc += np.einsum("bgrkcn,bgrkc->bgkcn", g_v, wend)
             g_wend = np.einsum("bgrkcn,bgkcn->bgrkc", g_v, bc)

@@ -19,6 +19,8 @@ desk-scale clarity and exact reproducibility, not throughput:
   numpy's result (a view for a basic index), and its gradient is an
   (index, values) pair that ``backward`` adds into one zero buffer per
   source, with ``np.add.at`` for an advanced index, which may repeat;
+  ``checked_view`` wraps data that ops already checked (a KV cache's
+  filled slots) with neither a scan nor a tape node;
 * randomness comes only from counter-based generators keyed by an
   explicit 64-bit seed plus a stream name, so identical seeds give
   bit-identical results across runs and platforms.
@@ -41,6 +43,23 @@ embedding against full-width cos and sin tables; its backward rotates by
 composed form). Kernels outside this module (the SSM's chunked scan and
 causal conv) record their one node through `_make` too, and honour
 `set_chaos` the same way.
+
+What the tape keeps: every node's output, and beside it only what the
+node's backward cannot rebuild from its inputs and output in one pass.
+A value one product or one copy away is recomputed in the backward,
+with the forward's own expression, so gradients stay byte-equal. Per
+fused op, beyond inputs and output:
+
+* `silu_mul`: s = sigmoid(a); silu(a) = a * s is rebuilt;
+* `normalize_lastdim`: the row scale r; the normalized input is rebuilt;
+* `rope_rotate`: nothing (its tables are arguments);
+* `attention_core`: one exp tile and its row inverses per query tile;
+* `ssm.causal_conv`: nothing;
+* `ssm.ssm_scan`, per 64-token slab: the chunked dt, B and C, the decay
+  matrix exp(s_i - s_j), the masked scores C B^T, exp(s) and the decays
+  to and at each chunk's end, the end weights exp(s_end - s) * dt and
+  the state entering each chunk; the chunked x, the intra-chunk map w
+  and the end inputs v = end weights * B are rebuilt.
 
 Heap policy: every op allocates fresh arrays, many of them MB-sized, and
 with glibc's defaults each freed one goes back to the kernel, so the next
@@ -298,6 +317,17 @@ def _make(op: str, out_data: np.ndarray, inputs: tuple, backward_fn, check: bool
     return out
 
 
+def checked_view(data: np.ndarray) -> Tensor:
+    """Wrap float64 data whose every entry some op already checked; no scan, no tape node.
+
+    For views of op outputs kept off the tape, such as a KV cache's
+    filled slots: a view of finite data is finite.
+    """
+    out = Tensor.__new__(Tensor)
+    out.data, out.requires_grad, out.grad, out.node = data, False, None, None
+    return out
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
     if grad.shape == shape:
@@ -414,11 +444,11 @@ def silu_mul(a, b) -> Tensor:
     """The SiLU gate silu(a) * b as one op.
 
     Values and both gradients are byte-equal to ``silu(a) * b``: the
-    same products are taken in the same order.
+    same products are taken in the same order. The tape keeps
+    s = sigmoid(a); the backward rebuilds silu(a) = a * s.
     """
     a, b = as_tensor(a), as_tensor(b)
     s = _sigmoid(a.data)
-    act = a.data * s
 
     def bwd(g):
         ga = _unbroadcast(g * b.data, a.shape)
@@ -427,9 +457,9 @@ def silu_mul(a, b) -> Tensor:
         d_act *= a.data
         d_act += 1.0
         ga *= d_act
-        return ga, _unbroadcast(g * act, b.shape)
+        return ga, _unbroadcast(g * (a.data * s), b.shape)     # silu(a) rebuilt
 
-    return _make("silu_mul", act * b.data, (a, b), bwd)
+    return _make("silu_mul", (a.data * s) * b.data, (a, b), bwd)
 
 
 def softplus(a) -> Tensor:
@@ -588,16 +618,20 @@ def normalize_lastdim(x, weight, eps: float, center: bool = False) -> Tensor:
     with an analytic backward: for c the (centred) input, r =
     sqrt(mean(c^2) + eps), n = c / r and gn the gradient reaching n,
     dx = (gn - mean(gn) - n * mean(gn * n)) / r, where mean(gn) enters
-    only with `center`.
+    only with `center`. The tape keeps r; the backward rebuilds n from x.
     """
     x, weight = as_tensor(x), as_tensor(weight)
-    n = x.data - x.data.mean(axis=-1, keepdims=True) if center else x.data
-    r = np.square(n).mean(axis=-1, keepdims=True)
+
+    def centred():
+        return x.data - x.data.mean(axis=-1, keepdims=True) if center else x.data
+
+    c = centred()
+    r = np.square(c).mean(axis=-1, keepdims=True)
     r += eps
     np.sqrt(r, out=r)
-    n = n / r
 
     def bwd(g):
+        n = centred() / r                   # rebuilt with the forward's expression
         gn = g * weight.data
         prod = gn * n
         dot = prod.mean(axis=-1, keepdims=True)
@@ -612,7 +646,7 @@ def normalize_lastdim(x, weight, eps: float, center: bool = False) -> Tensor:
             gw = _unbroadcast(prod, weight.shape)
         return gn, gw
 
-    return _make("group_norm" if center else "rms_norm", n * weight.data, (x, weight), bwd)
+    return _make("group_norm" if center else "rms_norm", (c / r) * weight.data, (x, weight), bwd)
 
 
 def rope_rotate(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:

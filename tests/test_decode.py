@@ -344,3 +344,33 @@ def test_an_ssm_decode_step_runs_the_scan_in_few_ops(monkeypatch, name, most):
     ops = _decode_step_ops(monkeypatch, name)
     assert len(ops) <= most, sorted(ops)
     assert "ssm_scan" in ops
+
+
+@pytest.mark.parametrize("name", ("toy-llama", "toy-swa", "toy-intra"))
+def test_cache_reads_make_no_finiteness_scan(monkeypatch, name):
+    # every slot was written from a checked op output, so a read wraps its
+    # views without re-scanning the filled cache; decoding stays exact
+    scans, reads, inside = [], [], []
+    isfinite = np.isfinite
+
+    def counted_isfinite(*args, **kwargs):
+        if inside:
+            scans.append(name)
+        return isfinite(*args, **kwargs)
+
+    def watched(read):
+        def wrapper(cache):
+            inside.append(True)
+            try:
+                reads.append(name)
+                return read(cache)
+            finally:
+                inside.pop()
+        return wrapper
+
+    monkeypatch.setattr(np, "isfinite", counted_isfinite)
+    for cls in (FullKV, RollingKV):
+        monkeypatch.setattr(cls, "read", watched(cls.read))
+    worst, _, _, _ = cached_vs_full(name, total=12)
+    assert reads and not scans, (len(reads), len(scans))
+    assert worst < 1e-8, worst

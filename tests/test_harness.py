@@ -263,12 +263,12 @@ def test_load_token_file_rejects_junk(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def tape_kept_bytes(nodes) -> int:
-    """Bytes of the distinct buffers the tape keeps alive.
+def _reached_arrays(objs) -> dict[int, np.ndarray]:
+    """The distinct base arrays that `objs` reach, by id.
 
-    Each node's output plus every array its backward closure reaches
-    (directly, through a Tensor, a list or tuple, or a nested function's
-    closure); a view counts its base once.
+    An array counts itself; a Tensor its data; a list or tuple its items;
+    a function the cells of its closure, nested functions included. A
+    view counts its base.
     """
     seen, bases = set(), {}
 
@@ -281,7 +281,7 @@ def tape_kept_bytes(nodes) -> int:
         elif isinstance(obj, np.ndarray):
             while isinstance(obj.base, np.ndarray):
                 obj = obj.base
-            bases[id(obj)] = obj.nbytes
+            bases[id(obj)] = obj
         elif isinstance(obj, (list, tuple)):
             for item in obj:
                 collect(item)
@@ -289,10 +289,20 @@ def tape_kept_bytes(nodes) -> int:
             for cell in obj.__closure__ or ():
                 collect(cell.cell_contents)
 
-    for node in nodes:
-        collect(node.out)
-        collect(node.backward)
-    return sum(bases.values())
+    for obj in objs:
+        collect(obj)
+    return bases
+
+
+def tape_kept_bytes(nodes) -> int:
+    """Bytes of the distinct buffers the tape keeps alive.
+
+    Each node's output plus every array its backward closure reaches
+    (directly, through a Tensor, a list or tuple, or a nested function's
+    closure); a view counts its base once.
+    """
+    kept = _reached_arrays([obj for node in nodes for obj in (node.out, node.backward)])
+    return sum(a.nbytes for a in kept.values())
 
 
 def _training_forward_tape(name, moe=False):
@@ -328,16 +338,43 @@ def test_no_training_forward_slices_a_weight(name, moe):
     assert getitems and not sliced, sliced
 
 
-def test_training_forward_tape_bytes_stay_bounded():
-    # toy-llama forward at 16 x 64. The bound is the figure with 64-row
-    # tiles, whose kernel also kept a scaled copy of q; the kernel now keeps
-    # one exp tile and its row inverses per query tile, 72,486,264 bytes.
-    # A kernel that kept a second copy of its score tiles crosses the bound
-    cfg, layout = preset("toy-llama")
-    model = HybridModel(with_vocab(cfg, 32), layout, seed=0)
-    tokens, mask = gen_copy_batch(named_rng(0, "tape"), 16, 32, 64)
+# tape_kept_bytes of one copy-task training forward at 16 x 64, with each
+# bound 5% above it. The fused ops keep only what their backward cannot
+# rebuild in one pass; keeping any of silu_mul's activation, a norm's
+# normalized input, the conv's padded copy or the scan's chunked x, w and
+# v again crosses a bound (the figures with all of them: 72,211,832 /
+# 132,503,416 / 128,411,960 / 134,846,968 bytes)
+@pytest.mark.parametrize("name,moe,bound", [
+    ("toy-llama", False, 64_250_000),         # 61,201,784 bytes
+    ("toy-mamba", False, 99_860_000),         # 95,106,936
+    ("toy-intra", False, 98_330_000),         # 93,653,304
+    ("toy-inter", True, 109_240_000),         # 104,047,096, MoE on every block
+], ids=["toy-llama", "toy-mamba", "toy-intra", "toy-inter-moe"])
+def test_training_forward_tape_bytes_stay_bounded(name, moe, bound):
+    _, nodes = _training_forward_tape(name, moe)
+    kept = tape_kept_bytes(nodes)
     reset_tape()
-    masked_next_token_loss(model, tokens, mask)
-    kept = tape_kept_bytes(default_tape().nodes)
+    assert kept <= bound, kept
+
+
+def test_fused_op_backwards_keep_only_their_inputs_output_and_row_scale():
+    # beyond inputs and output, silu_mul keeps s = sigmoid(a) and a norm
+    # its row scale r; the conv keeps nothing. toy-intra has every one of them
+    _, nodes = _training_forward_tape("toy-intra")
+    extra_shape = {
+        "silu_mul": lambda node: node.inputs[0].shape,
+        "rms_norm": lambda node: node.inputs[0].shape[:-1] + (1,),
+        "group_norm": lambda node: node.inputs[0].shape[:-1] + (1,),
+        "causal_conv": None,
+    }
+    checked = set()
+    for node in nodes:
+        if node.op not in extra_shape:
+            continue
+        own = _reached_arrays([node.out, *node.inputs])
+        extra = [a for k, a in _reached_arrays([node.backward]).items() if k not in own]
+        want = extra_shape[node.op]
+        assert [a.shape for a in extra] == ([] if want is None else [want(node)]), node.op
+        checked.add(node.op)
     reset_tape()
-    assert kept <= 82_503_032, kept
+    assert checked == set(extra_shape), checked

@@ -325,6 +325,32 @@ def test_scan_masked_lanes_never_overflow():
     assert np.isfinite(y.data).all()
 
 
+@pytest.mark.parametrize("trap", ["negative-and-zero-dt", "steep-decay"])
+def test_scan_equals_the_fold_where_a_clamped_or_raw_decay_would_not(trap):
+    # Negative steps make s rise inside a chunk, so s_i - s_j > 0 below the
+    # diagonal and a min(., 0) clamp is wrong there; dt * A = 960 puts a raw
+    # exp(s_i - s_j) above the diagonal far past the float range
+    b, l, h, g, p, n, chunk = 2, 12, 2, 1, 2, 3, 5
+    t, weights = _scan_inputs(7, b, l, h, g, p, n)
+    if trap == "negative-and-zero-dt":
+        dt = t["dt"].data * 0.1
+        dt[:, ::3] = -0.05
+        dt[:, 1::4, 0] = 0.0
+    else:
+        dt = np.full((b, l, h), 60.0)
+        t["A_log"] = Tensor(np.full(h, np.log(16.0)), requires_grad=True)
+    t["dt"] = Tensor(dt, requires_grad=True)
+    args = (t["xs"], t["dt"], t["bm"], t["cm"], t["A_log"], t["D"])
+    with no_grad(), np.errstate(over="raise", invalid="raise"):
+        y, state = ssm_scan(*args, h0=t["h0"], chunk=chunk, return_state=True)
+        fold_y, fold_state = _fold_scan(t, t["h0"])
+    assert np.isfinite(y.data).all() and np.isfinite(state.data).all()
+    assert np.abs(y.data - fold_y.data).max() < 1e-9
+    assert np.abs(state.data - fold_state.data).max() < 1e-9
+    fd_grad_check(lambda: _scan_loss(t, weights, chunk, True), t,
+                  named_rng(8, f"scan-trap-fd-{trap}"), coords_per_tensor=4)
+
+
 def test_flip_sign_reaches_the_fused_scan():
     t, _ = _scan_inputs(6, 1, 10, 2, 1, 2, 3)
     args = (t["xs"], t["dt"], t["bm"], t["cm"], t["A_log"], t["D"])
