@@ -3,15 +3,20 @@
 The windowed variant keeps a block of always-visible sink positions at
 the start of the sequence plus a sliding window of the most recent
 positions, so its state is bounded by window + sink entries no matter
-how long the sequence grows. Masks are plain boolean numpy arrays.
+how long the sequence grows. One rule, `visible(q_pos, k_pos, window,
+sink)`, says which keys a query sees; masks are plain boolean numpy
+arrays built from it over absolute positions, for training, prefill, a
+chunk against a filled cache and the decode step alike, so any split of
+a sequence into chunks computes what the whole sequence does.
 The softmax itself is `tensor.attention_core`, one fused op that takes
 q, k and v in the (B, L, heads, d) layout the projections produce, so no
 head transposes surround it, and walks the queries in 16-row tiles of
 whole rows; masked lanes get exactly-zero weight, and a tile scores no
 key past its last visible mask column. One set of rotary tables per call
-serves q and k. The decode step is this same path with a KV cache: one
-query against every cached key, rotated when it was written, read
-straight from the cache's views.
+serves q and k. With a KV cache a chunk of any length attends over the
+cached keys, each rotated when it was written, and its own; a chunk that
+evicts nothing it still sees writes first and reads the cache's views
+uncopied, and the one-token step is that chunk with no mask.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import RopeConfig, proj_init, rope_tables
-from .tensor import ContractError, DimensionError, Tensor, attention_core, matmul, rope_rotate
+from .tensor import ContractError, DimensionError, Tensor, attention_core, concat, matmul, rope_rotate
 
 
 @dataclass(frozen=True)
@@ -43,9 +48,24 @@ class AttnConfig:
         return self.n_heads // self.n_kv_heads
 
 
+def visible(q_pos, k_pos, window: int | None = None, sink: int = 0) -> np.ndarray:
+    """(Lq, Lk) boolean, True where the key at k_pos is visible to the query
+    at q_pos: k <= q and, with a window, q - k < window or k < sink.
+
+    The one visibility rule: training, prefill, a chunk against a filled
+    cache and the step all build their mask from it.
+    """
+    q = np.asarray(q_pos)[:, None]
+    k = np.asarray(k_pos)[None, :]
+    seen = k <= q
+    if window is not None:
+        seen &= (q - k < window) | (k < sink)
+    return seen
+
+
 def causal_mask(seq_len: int) -> np.ndarray:
     """(L, L) boolean, True where key position j is visible to query i."""
-    return np.tril(np.ones((seq_len, seq_len), dtype=bool))
+    return visible(np.arange(seq_len), np.arange(seq_len))
 
 
 def swa_mask(seq_len: int, window: int, sink: int) -> np.ndarray:
@@ -58,9 +78,7 @@ def swa_mask(seq_len: int, window: int, sink: int) -> np.ndarray:
         raise ContractError("window must be >= 1")
     if sink < 0:
         raise ContractError("sink must be >= 0")
-    i = np.arange(seq_len)[:, None]
-    j = np.arange(seq_len)[None, :]
-    return (j <= i) & ((i - j < window) | (j < sink))
+    return visible(np.arange(seq_len), np.arange(seq_len), window, sink)
 
 
 def attn_param_shapes(cfg: AttnConfig, prefix: str = "attn") -> dict[str, tuple[int, ...]]:
@@ -98,24 +116,29 @@ def attention_context(
     cfg: AttnConfig,
     rope: RopeConfig,
     positions: np.ndarray,
-    mask: np.ndarray | None = None,
+    window: tuple[int, int] | None = None,
     prefix: str = "attn",
     cache=None,
 ) -> Tensor:
     """Per-head context before the output projection.
 
-    x (B, L, d_model) -> (B, L, n_heads, d_v). `mask` defaults to plain
-    causal; pass `swa_mask(...)` for the windowed variant. `positions`
-    are the absolute positions of the L tokens (rotary embedding is
-    position-absolute).
+    x (B, L, d_model) -> (B, L, n_heads, d_v). `positions` are the
+    absolute positions of the L tokens (rotary embedding is
+    position-absolute). `window` is the (window, sink) pair of the
+    windowed variant, None for plain causal attention; either way the
+    mask is `visible` over the query and key positions.
 
     With a KV `cache` (`decode.FullKV` or `decode.RollingKV`), each key
-    is rotated once, at its own position, and the whole (B, L, ...)
-    block of keys and values is written with one `extend`. An empty
-    cache is filled from the whole sequence, which attends under `mask`
-    as usual; a filled one takes one token, whose query attends with no
-    mask over the `(k, v)` views `read` returns (every cached key is
-    visible to it by construction).
+    is rotated once, at its own position, and the chunk's (B, L, ...)
+    keys and values are written with one `extend`. The cache may hold
+    any number of earlier tokens and the chunk may have any length; the
+    key positions come from the cache's `positions()`. Where the write
+    evicts nothing a query of the chunk still sees (a full cache, or
+    one token) the chunk writes first and attends over the `(k, v)`
+    views `read` returns. A longer chunk against a rolling cache would
+    overwrite ring slots that its earlier queries still see, so it
+    attends over `read()` plus its own keys and writes after. One token
+    sees every key its cache holds, so its mask stays None.
     """
     if x.ndim != 3:
         raise DimensionError(f"attention expects (batch, seq, d_model), got {x.shape}")
@@ -124,9 +147,6 @@ def attention_context(
         raise DimensionError(f"d_model mismatch: config {cfg.d_model}, input {d}")
     if np.shape(positions) != (l,):
         raise DimensionError(f"positions {np.shape(positions)} vs sequence length {l}")
-    step = cache is not None and cache.entries > 0
-    if step and l != 1:
-        raise ContractError(f"a filled KV cache takes one token at a time, got {l}")
 
     wq, wk = weights[f"{prefix}.wq"], weights[f"{prefix}.wk"]
     wv = weights[f"{prefix}.wv"]
@@ -137,13 +157,20 @@ def attention_context(
     q = rope_rotate(matmul(x, wq).reshape(b, l, cfg.n_heads, cfg.d_qk), cos, sin)
     k = rope_rotate(matmul(x, wk).reshape(b, l, cfg.n_kv_heads, cfg.d_qk), kv_cos, kv_sin)
     v = matmul(x, wv).reshape(b, l, cfg.n_kv_heads, cfg.d_v)
-    if cache is not None:
+    key_pos = positions
+    if cache is not None and (window is None or l == 1):
         cache.extend(k.data, v.data, positions)
-    if step:
         k, v = cache.read()
-        mask = None
-    elif mask is None:
-        mask = causal_mask(l)
+        key_pos = None if l == 1 else cache.positions()
+    elif cache is not None:
+        # the ring write could evict keys this chunk's earlier queries see
+        new_k, new_v = k.data, v.data
+        if cache.entries:
+            held_k, held_v = cache.read()
+            key_pos = np.concatenate([cache.positions(), positions])
+            k, v = concat([held_k, k], axis=1), concat([held_v, v], axis=1)
+        cache.extend(new_k, new_v, positions)
+    mask = None if l == 1 else visible(positions, key_pos, *(window or ()))
     return attention_core(q, k, v, mask)      # (B, L, H, d_v)
 
 
@@ -153,12 +180,12 @@ def attention_forward(
     cfg: AttnConfig,
     rope: RopeConfig,
     positions: np.ndarray,
-    mask: np.ndarray | None = None,
+    window: tuple[int, int] | None = None,
     prefix: str = "attn",
     cache=None,
 ) -> Tensor:
     """Full block pass: x (B, L, d_model) -> (B, L, d_model)."""
-    ctx = attention_context(x, weights, cfg, rope, positions, mask, prefix, cache)
+    ctx = attention_context(x, weights, cfg, rope, positions, window, prefix, cache)
     b, l = x.shape[0], x.shape[1]
     ctx = ctx.reshape(b, l, cfg.n_heads * cfg.d_v)
     return matmul(ctx, weights[f"{prefix}.wo"])

@@ -1,11 +1,14 @@
 """Incremental decoding with per-kind bounded caches.
 
 Decoding is the model's forward pass with caches, not a second copy of
-its math: `prefill` is `HybridModel.forward` over the prompt with fresh
-caches, and `decode_step` is the same forward on one token at
-`state.position`. Each mixer takes its block's cache as an optional
-argument and advances it in place, and the tests pin cached-vs-full
-logit agreement per block kind.
+its math: `prefill` is `HybridModel.forward` over the prompt in
+fixed 64-token chunks against fresh caches, and `decode_step` is the
+same forward on one token at `state.position`. A filled cache takes a
+chunk of any length at its own next position, so any split of a
+sequence gives the logits of the whole one, and a prefill's activations
+grow with the chunk, not with the prompt. Each mixer takes its block's
+cache as an optional argument and advances it in place, and the tests
+pin split-vs-full logit agreement per block kind.
 
 Cache shapes per block:
 
@@ -18,11 +21,14 @@ Cache shapes per block:
   intra   full KV for the attention half + SSM state for the other
 
 Each KV cache keeps its keys and its values in one preallocated
-(B, slots, n_kv, d) buffer. `extend` is the only write: prefill writes
-its whole (B, L, ...) block in one slice assignment and a step writes
-one row. `read` returns views of the filled slots, valid until the
-next `extend`, so a step neither stacks nor copies the history, nor
-scans it again for non-finite values.
+(B, slots, n_kv, d) buffer; `prefill` reserves each full KV buffer for
+the whole prompt, and a decode step doubles it when it is full.
+`extend` is the only write: a chunk writes its (B, L, ...) block in one
+slice assignment and a step writes one row, each at the cache's next
+position only. `read` returns views of the filled slots, valid until
+the next `extend`, so a step neither stacks nor copies the history, nor
+scans it again for non-finite values; `positions` names the position
+each slot holds.
 
 `DecodeState.cache_bytes()` measures the live caches at 2 bytes per
 element (the in-flight conv row counts toward the ring, matching the
@@ -82,8 +88,14 @@ class FullKV(_KVRead):
     k_buf: np.ndarray | None = None   # (B, slots, n_kv, d_qk)
     v_buf: np.ndarray | None = None   # (B, slots, n_kv, d_v)
 
+    def positions(self) -> np.ndarray:
+        """The position each filled slot holds: slot j holds position j."""
+        return np.arange(self.entries)
+
     def extend(self, k: np.ndarray, v: np.ndarray, positions: np.ndarray) -> None:
-        """Write a (B, L, n_kv, d) block after the filled slots."""
+        """Write a (B, L, n_kv, d) block at positions entries, entries + 1, ..."""
+        if positions[0] != self.entries:
+            raise ContractError(f"this KV cache takes position {self.entries} next, got {positions[0]}")
         end = self.entries + k.shape[1]
         if self.k_buf is None or end > self.k_buf.shape[1]:
             slots = max(end, 2 * self.entries)
@@ -121,8 +133,19 @@ class RollingKV(_KVRead):
     def entries(self) -> int:
         return min(self.count, self.capacity)
 
+    def positions(self) -> np.ndarray:
+        """The position each filled slot holds, derived from `count`: a sink
+        sits at its own slot, and ring slot s holds the latest p < count
+        with p - s a multiple of the window."""
+        slots = np.arange(self.entries)
+        last = self.count - 1
+        return np.where(slots < self.sink, slots, last - (last - slots) % self.window)
+
     def extend(self, k: np.ndarray, v: np.ndarray, positions: np.ndarray) -> None:
-        """Write the sinks and the last `window` positions of a block."""
+        """Write the sinks and the last `window` positions of a block that
+        starts at position `count`."""
+        if positions[0] != self.count:
+            raise ContractError(f"this KV cache takes position {self.count} next, got {positions[0]}")
         if self.k_buf is None:
             self.k_buf = np.empty((k.shape[0], self.capacity, self.n_kv, self.d_qk))
             self.v_buf = np.empty((k.shape[0], self.capacity, self.n_kv, self.d_v))
@@ -167,13 +190,18 @@ class DecodeState:
         return CACHE_BYTES_PER_ELEMENT * sum(_cache_elems(c) for c in self.caches)
 
 
-def _fresh_cache(block: Block, batch: int) -> BlockCache:
+def _fresh_cache(block: Block, batch: int, slots: int) -> BlockCache:
     """A `FullKV` (`RollingKV` if windowed) for an attention branch, an
-    `SsmState` for an SSM branch, an `IntraCache` for both."""
+    `SsmState` for an SSM branch, an `IntraCache` for both. A `FullKV`
+    starts with room for `slots` entries."""
     kv = ssm = None
     if block.attn_cfg is not None:
-        dims = (block.attn_cfg.n_kv_heads, block.attn_cfg.d_qk, block.attn_cfg.d_v)
-        kv = FullKV(*dims) if block.window is None else RollingKV(*block.window, *dims)
+        n_kv, d_qk, d_v = block.attn_cfg.n_kv_heads, block.attn_cfg.d_qk, block.attn_cfg.d_v
+        if block.window is None:
+            kv = FullKV(n_kv, d_qk, d_v, k_buf=np.empty((batch, slots, n_kv, d_qk)),
+                        v_buf=np.empty((batch, slots, n_kv, d_v)))
+        else:
+            kv = RollingKV(*block.window, n_kv, d_qk, d_v)
     if block.ssm_cfg is not None:
         ssm = init_ssm_state(block.ssm_cfg, batch)
     if kv is not None and ssm is not None:
@@ -185,17 +213,42 @@ def _fresh_cache(block: Block, batch: int) -> BlockCache:
 # prefill / step
 # ---------------------------------------------------------------------------
 
+# Prompt tokens per prefill forward: a multiple of the SSM chunk (16), and
+# equal to `ssm._SCAN_SLAB`, so the chunked scan computes exactly what the
+# whole-prompt scan does. Batch 4 x 320, median of 15 alternating rounds,
+# one BLAS thread; MiB is the tracemalloc peak minus what prefill keeps:
+#
+#   chunk                  32     64    128   whole
+#   toy-llama, ms        61.6   58.1   59.4   60.5
+#   toy-mamba, ms        70.3   63.9   69.9   70.6
+#   toy-intra, ms        93.8   75.7   79.9   85.1
+#   toy-mamba, MiB        3.0    4.8    6.4   10.7
+#
+# Below 64 the per-chunk op overhead shows; above it the activations grow.
+_PREFILL_CHUNK = 64
+
 
 def prefill(model: HybridModel, tokens: np.ndarray) -> tuple[DecodeState, Tensor]:
-    """Batched prompt pass. tokens (B, L) -> (state at position L, logits)."""
+    """Batched prompt pass. tokens (B, L) -> (state at position L, logits).
+
+    The prompt runs through `HybridModel.forward` in `_PREFILL_CHUNK`-token
+    chunks against fresh caches, so a call's activations grow with the
+    chunk, not the prompt. Each full KV buffer is reserved for the whole
+    prompt up front, so the chunk writes never regrow it; each chunk's
+    logits go into one (B, L, V) array.
+    """
     tokens = np.asarray(tokens)
     if tokens.ndim != 2 or tokens.shape[1] < 1:
         raise ContractError(f"prefill wants (batch, seq >= 1) tokens, got {tokens.shape}")
-    caches = [_fresh_cache(block, tokens.shape[0]) for block in model.blocks]
+    batch, length = tokens.shape
+    caches = [_fresh_cache(block, batch, length) for block in model.blocks]
+    logits = np.empty((batch, length, model.cfg.vocab))
     with no_grad():
-        logits = model.forward(tokens, caches)
-    state = DecodeState(position=tokens.shape[1], caches=caches)
-    return state, logits
+        for start in range(0, length, _PREFILL_CHUNK):
+            stop = start + _PREFILL_CHUNK
+            logits[:, start:stop] = model.forward(tokens[:, start:stop], caches, start=start).data
+    # every chunk's logits are a checked op output
+    return DecodeState(position=length, caches=caches), checked_view(logits)
 
 
 def decode_step(model: HybridModel, state: DecodeState, tokens: np.ndarray | int) -> Tensor:

@@ -330,7 +330,7 @@ def intra_hybrid_forward(
     """
     icfg.validate_fusion(spec)
     a = attention_context(
-        x, weights, icfg.attn_cfg, icfg.rope_cfg, positions, mask=None, prefix=f"{prefix}.attn",
+        x, weights, icfg.attn_cfg, icfg.rope_cfg, positions, prefix=f"{prefix}.attn",
         cache=None if cache is None else cache.kv,
     )
     m = ssm_context(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import attention_forward, init_attn_params, swa_mask
+from .attention import attention_forward, init_attn_params
 from .config import ModelConfig
 from .hybrid import default_lambda_init, init_intra_params, intra_hybrid_forward
 from .layout import BlockSpec, LayoutSpec
@@ -73,9 +73,8 @@ class Block:
             )
         if self.attn_cfg is None:
             return ssm_forward(normed, self.weights, self.ssm_cfg, chunk=SSM_CHUNK, state=cache)
-        mask = None if self.window is None else swa_mask(normed.shape[1], *self.window)
         return attention_forward(
-            normed, self.weights, self.attn_cfg, self.rope, positions, mask=mask, cache=cache
+            normed, self.weights, self.attn_cfg, self.rope, positions, window=self.window, cache=cache
         )
 
     def ffn(self, normed: Tensor) -> Tensor:

@@ -18,7 +18,7 @@ desk-scale clarity and exact reproducibility, not throughput:
   check, as they only pick entries that passed it. ``getitem`` returns
   numpy's result (a view for a basic index), and its gradient is an
   (index, values) pair that ``backward`` adds into one zero buffer per
-  source, with ``np.add.at`` for an advanced index, which may repeat;
+  source, with ``np.add.at`` for an advanced index that may repeat;
   ``checked_view`` wraps data that ops already checked (a KV cache's
   filled slots) with neither a scan nor a tape node;
 * randomness comes only from counter-based generators keyed by an
@@ -553,9 +553,19 @@ def getitem(a, index) -> Tensor:
 
 
 def _scatter_add(acc: np.ndarray, index, values: np.ndarray) -> None:
-    """acc[index] += values; np.add.at where an advanced index may repeat an entry."""
+    """acc[index] += values; np.add.at where an advanced index may repeat an entry.
+
+    A 1-D integer index whose entries are distinct modulo the axis (a
+    permutation gather) adds in one fancy assignment; on distinct rows
+    that is exactly what np.add.at computes, at a tenth of its cost.
+    """
     items = index if isinstance(index, tuple) else (index,)
     if all(i is None or i is Ellipsis or isinstance(i, (int, np.integer, slice)) for i in items):
+        acc[index] += values
+    elif (
+        isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind in "iu"
+        and np.bincount(index % acc.shape[0], minlength=1).max() == 1
+    ):
         acc[index] += values
     else:
         np.add.at(acc, index, values)

@@ -233,10 +233,10 @@ def _suite_attention() -> list[PropertyResult]:
             k = repeat_kv_heads(heads("wk", cfg.n_kv_heads, cfg.d_qk), cfg.group_size)
             v = repeat_kv_heads(heads("wv", cfg.n_kv_heads, cfg.d_v), cfg.group_size)
             scores = matmul(q, k.swapaxes(1, 2).swapaxes(-1, -2)) * (cfg.d_qk ** -0.5)
-            for mask in (causal_mask(seq), swa_mask(seq, window=8, sink=3)):
+            for window, mask in ((None, causal_mask(seq)), ((8, 3), swa_mask(seq, window=8, sink=3))):
                 probs = softmax_lastdim(scores, mask)
                 want = matmul(probs, v.swapaxes(1, 2)).swapaxes(1, 2).data
-                got = attention_context(x, weights, cfg, rope, pos, mask=mask).data
+                got = attention_context(x, weights, cfg, rope, pos, window=window).data
                 worst = max(worst, float(np.abs(got - want).max()))
         return worst < 1e-12, f"max |fused - composed| {worst:.1e} (causal, windowed)"
 

@@ -141,11 +141,32 @@ def test_a_repeated_advanced_index_sums_its_gradient():
     assert x.grad.tolist() == [2.0, 0.0, 1.0, 0.0]
 
 
+def test_a_permutation_gather_adds_its_gradient_without_add_at(monkeypatch):
+    # distinct rows (-1 is row 5) take one fancy add, byte-equal to np.add.at;
+    # rows that repeat modulo the axis (1 and -5) still go through np.add.at
+    rng = named_rng(0, "perm-gather")
+    data, probe = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
+    index = np.array([4, 0, -1, 2, 1, 3])
+    want = np.zeros((6, 3))
+    np.add.at(want, index, probe)
+    calls = []
+    add_at = np.add.at
+    monkeypatch.setattr(np.add, "at", lambda *a: (calls.append(a[1]), add_at(*a)))
+    x = Tensor(data, requires_grad=True)
+    backward(tsum(x[index] * probe))
+    assert not calls
+    assert x.grad.tobytes() == want.tobytes()
+    x = Tensor(data, requires_grad=True)
+    backward(tsum(x[np.array([1, -5])]))
+    assert len(calls) == 1 and x.grad[1].tolist() == [2.0] * 3
+
+
 GETITEM_INDEXES = {
     "slice": (slice(1, 4), slice(None)),
     "strided": (slice(None, None, 2), slice(5, 0, -2)),
     "bool mask": np.array([[True, False, True, True, False, False, True]] * 5),
     "repeated": (np.array([0, 2, 2, 4, 0]), slice(1, 6)),
+    "permutation": np.array([3, 0, -1, 1, 2]),
 }
 
 
