@@ -81,19 +81,13 @@ def swa_mask(seq_len: int, window: int, sink: int) -> np.ndarray:
     return visible(np.arange(seq_len), np.arange(seq_len), window, sink)
 
 
-def attn_param_shapes(cfg: AttnConfig, prefix: str = "attn") -> dict[str, tuple[int, ...]]:
+def init_attn_params(cfg: AttnConfig, rng: np.random.Generator | None, prefix: str = "attn") -> dict:
+    """q, k, v and output projections; with rng None, their shapes."""
     return {
-        f"{prefix}.wq": (cfg.d_model, cfg.n_heads * cfg.d_qk),
-        f"{prefix}.wk": (cfg.d_model, cfg.n_kv_heads * cfg.d_qk),
-        f"{prefix}.wv": (cfg.d_model, cfg.n_kv_heads * cfg.d_v),
-        f"{prefix}.wo": (cfg.n_heads * cfg.d_v, cfg.d_model),
-    }
-
-
-def init_attn_params(cfg: AttnConfig, rng: np.random.Generator, prefix: str = "attn") -> dict[str, Tensor]:
-    return {
-        name: proj_init(rng, shape[0], shape[1])
-        for name, shape in attn_param_shapes(cfg, prefix).items()
+        f"{prefix}.wq": proj_init(rng, cfg.d_model, cfg.n_heads * cfg.d_qk),
+        f"{prefix}.wk": proj_init(rng, cfg.d_model, cfg.n_kv_heads * cfg.d_qk),
+        f"{prefix}.wv": proj_init(rng, cfg.d_model, cfg.n_kv_heads * cfg.d_v),
+        f"{prefix}.wo": proj_init(rng, cfg.n_heads * cfg.d_v, cfg.d_model),
     }
 
 

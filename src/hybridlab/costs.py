@@ -2,9 +2,10 @@
 
 Two routes are kept deliberately separate:
 
-* instantiated counts enumerate the exact weight shapes a built model
-  would allocate (the ground truth; zero unexplained remainder against
-  a real model's inventory), and
+* instantiated counts run the builder's own code: `model.block_weights`
+  called with rng=None names every weight shape a built model draws,
+  and draws nothing (the ground truth; no remainder by construction),
+  and
 * closed-form per-block expressions mirror the published scaling
   formulas and are reported alongside for reference.
 
@@ -33,13 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .attention import attn_param_shapes
 from .config import ModelConfig
-from .hybrid import intra_param_shapes
 from .layout import BlockSpec, LayoutSpec
-from .moe import moe_param_shapes
-from .nn import FFNConfig, ffn_param_shapes
-from .ssm import ssm_param_shapes
+from .model import block_weights
 from .tensor import ContractError
 
 CACHE_BYTES_PER_ELEMENT = 2
@@ -51,22 +48,8 @@ CACHE_BYTES_PER_ELEMENT = 2
 
 
 def block_param_shapes(spec: BlockSpec, cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Every weight shape of one block, mirror of the builder."""
-    shapes: dict[str, tuple[int, ...]] = {"attn_norm.weight": (cfg.d_model,)}
-    if spec.kind in ("attn", "swa"):
-        shapes.update(attn_param_shapes(cfg.attn_cfg()))
-    elif spec.kind == "mamba":
-        shapes.update(ssm_param_shapes(cfg.ssm_cfg()))
-    elif spec.kind == "intra":
-        shapes.update(intra_param_shapes(cfg.intra_cfg(spec), cfg.block_fusion(spec)))
-    else:
-        raise ContractError(f"unknown block kind {spec.kind!r}")
-    shapes["ffn_norm.weight"] = (cfg.d_model,)
-    if spec.moe:
-        shapes.update(moe_param_shapes(cfg.moe_cfg()))
-    else:
-        shapes.update(ffn_param_shapes(FFNConfig(cfg.d_model, cfg.d_ffn)))
-    return shapes
+    """Every weight shape of one block: the builder's `block_weights` with rng=None."""
+    return block_weights(spec, cfg, None)
 
 
 def model_param_shapes(layout: LayoutSpec, cfg: ModelConfig) -> dict[str, tuple[int, ...]]:

@@ -281,15 +281,18 @@ def generate(
     temperature: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, DecodeState]:
-    """Prefill the prompt then decode n_new tokens. Returns (B, n_new)."""
+    """Prefill the prompt then decode n_new tokens. Returns (B, n_new) and
+    the state after them; with n_new 0, a (B, 0) array and the prefilled state."""
+    if n_new < 0:
+        raise ContractError(f"generate needs n_new >= 0, got {n_new}")
     state, logits = prefill(model, prompt)
-    out = []
+    out = np.empty((logits.shape[0], n_new), dtype=np.int64)
     next_tok = sample_token(Tensor(logits.data[:, -1]), temperature, rng)
-    for _ in range(n_new):
-        out.append(next_tok)
+    for i in range(n_new):
+        out[:, i] = next_tok
         logits = decode_step(model, state, next_tok)
         next_tok = sample_token(logits, temperature, rng)
-    return np.stack(out, axis=1), state
+    return out, state
 
 
 @dataclass(frozen=True)

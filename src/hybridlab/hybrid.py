@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import AttnConfig, attention_context, attn_param_shapes, init_attn_params
-from .nn import RopeConfig, group_norm_per_head, param, proj_init
-from .ssm import SsmConfig, SsmState, init_ssm_params, ssm_context, ssm_param_shapes
+from .attention import AttnConfig, attention_context, init_attn_params
+from .nn import RopeConfig, group_norm_per_head, param, proj_init, weight
+from .ssm import SsmConfig, SsmState, init_ssm_params, ssm_context
 from .tensor import ContractError, Tensor, concat, exp, matmul, sigmoid, tsum
 
 NORMS = ("none", "group")
@@ -183,44 +183,17 @@ def fused_width(icfg: IntraHybridConfig, spec: FusionSpec) -> int:
     return attn_w + icfg.d_ssm_branch if spec.fusion == "concat" else attn_w
 
 
-def intra_param_shapes(
-    icfg: IntraHybridConfig, spec: FusionSpec, prefix: str = "intra"
-) -> dict[str, tuple[int, ...]]:
-    icfg.validate_fusion(spec)
-    shapes = attn_param_shapes(icfg.attn_cfg, f"{prefix}.attn")
-    shapes.pop(f"{prefix}.attn.wo")
-    shapes.update(ssm_param_shapes(icfg.ssm_cfg, f"{prefix}.ssm"))
-    shapes.pop(f"{prefix}.ssm.out_proj")
-
-    h_attn, h_ssm = icfg.n_half, icfg.d_ssm_branch // icfg.d_fuse
-    if spec.norm == "group":
-        shapes[f"{prefix}.norm_attn.weight"] = (h_attn, icfg.d_fuse)
-        shapes[f"{prefix}.norm_ssm.weight"] = (h_ssm, icfg.d_fuse)
-    if spec.scalar == "scale":
-        shapes[f"{prefix}.scale_attn"] = (1,)
-        shapes[f"{prefix}.scale_ssm"] = (1,)
-    elif spec.scalar == "gate":
-        shapes[f"{prefix}.gate_attn"] = (h_attn,)
-        shapes[f"{prefix}.gate_ssm"] = (h_ssm,)
-    elif spec.scalar == "diff_lambda":
-        for name in ("lambda_q1", "lambda_k1", "lambda_q2", "lambda_k2"):
-            shapes[f"{prefix}.{name}"] = (icfg.d_fuse,)
-
-    if spec.out_projs == 1:
-        shapes[f"{prefix}.wo"] = (fused_width(icfg, spec), icfg.d_model)
-    else:
-        shapes[f"{prefix}.wo_attn"] = (h_attn * icfg.d_fuse, icfg.d_model)
-        shapes[f"{prefix}.wo_ssm"] = (icfg.d_ssm_branch, icfg.d_model)
-    return shapes
-
-
 def init_intra_params(
     icfg: IntraHybridConfig,
     spec: FusionSpec,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     prefix: str = "intra",
-) -> dict[str, Tensor]:
+) -> dict:
+    """Both branches' weights plus the fusion cell's; with rng None, their shapes."""
     icfg.validate_fusion(spec)
+    # the branch output projections are drawn and then dropped: the
+    # fusion's own projections replace them, and the draws keep every
+    # later weight a seed gives in place
     params = init_attn_params(icfg.attn_cfg, rng, f"{prefix}.attn")
     params.pop(f"{prefix}.attn.wo")
     params.update(init_ssm_params(icfg.ssm_cfg, rng, f"{prefix}.ssm"))
@@ -228,14 +201,14 @@ def init_intra_params(
 
     h_attn, h_ssm = icfg.n_half, icfg.d_ssm_branch // icfg.d_fuse
     if spec.norm == "group":
-        params[f"{prefix}.norm_attn.weight"] = Tensor(np.ones((h_attn, icfg.d_fuse)), requires_grad=True)
-        params[f"{prefix}.norm_ssm.weight"] = Tensor(np.ones((h_ssm, icfg.d_fuse)), requires_grad=True)
+        params[f"{prefix}.norm_attn.weight"] = weight(rng, (h_attn, icfg.d_fuse), 1.0)
+        params[f"{prefix}.norm_ssm.weight"] = weight(rng, (h_ssm, icfg.d_fuse), 1.0)
     if spec.scalar == "scale":
-        params[f"{prefix}.scale_attn"] = Tensor(np.ones(1), requires_grad=True)
-        params[f"{prefix}.scale_ssm"] = Tensor(np.ones(1), requires_grad=True)
+        params[f"{prefix}.scale_attn"] = weight(rng, (1,), 1.0)
+        params[f"{prefix}.scale_ssm"] = weight(rng, (1,), 1.0)
     elif spec.scalar == "gate":
-        params[f"{prefix}.gate_attn"] = Tensor(np.zeros(h_attn), requires_grad=True)
-        params[f"{prefix}.gate_ssm"] = Tensor(np.zeros(h_ssm), requires_grad=True)
+        params[f"{prefix}.gate_attn"] = weight(rng, (h_attn,), 0.0)
+        params[f"{prefix}.gate_ssm"] = weight(rng, (h_ssm,), 0.0)
     elif spec.scalar == "diff_lambda":
         for name in ("lambda_q1", "lambda_k1", "lambda_q2", "lambda_k2"):
             params[f"{prefix}.{name}"] = param(rng, (icfg.d_fuse,), 0.1)

@@ -4,7 +4,7 @@ Every layer is residual pre-norm twice over: once around its mixer
 (attention, windowed attention, SSM, or the fused intra-layer hybrid)
 and once around its FFN (dense or mixture-of-experts). Weights live in
 flat name->Tensor dicts with dotted prefixes ("blocks.3.ssm.in_proj"),
-which is also exactly the inventory the cost model counts.
+drawn by `block_weights`, whose shapes the cost model counts.
 """
 
 from __future__ import annotations
@@ -16,13 +16,37 @@ from .config import ModelConfig
 from .hybrid import default_lambda_init, init_intra_params, intra_hybrid_forward
 from .layout import BlockSpec, LayoutSpec
 from .moe import RouterState, init_moe_params, moe_forward, update_balance
-from .nn import RopeConfig, param, proj_init, rms_norm, siglu_ffn
+from .nn import RopeConfig, param, proj_init, rms_norm, siglu_ffn, weight
 from .ssm import init_ssm_params, ssm_forward
 from .tensor import ContractError, Tensor, embedding_lookup, matmul, named_rng
 
 EMBED_STD = 0.02
 HEAD_STD = 0.02
 SSM_CHUNK = 16
+
+
+def block_weights(spec: BlockSpec, cfg: ModelConfig, rng: np.random.Generator | None) -> dict:
+    """Every weight of one block in draw order; with rng None, their shapes.
+
+    The one inventory of a block: `Block` draws from it and
+    `costs.block_param_shapes` counts it.
+    """
+    attn_cfg, _, ssm_cfg = cfg.block_branches(spec)
+    weights = {"attn_norm.weight": weight(rng, (cfg.d_model,), 1.0)}
+    if spec.kind == "intra":
+        weights.update(init_intra_params(cfg.intra_cfg(spec), cfg.block_fusion(spec), rng))
+    elif attn_cfg is not None:
+        weights.update(init_attn_params(attn_cfg, rng))
+    else:
+        weights.update(init_ssm_params(ssm_cfg, rng))
+    weights["ffn_norm.weight"] = weight(rng, (cfg.d_model,), 1.0)
+    if spec.moe:
+        weights.update(init_moe_params(cfg.moe_cfg(), rng))
+    else:
+        weights["ffn.gate"] = proj_init(rng, cfg.d_model, cfg.d_ffn)
+        weights["ffn.up"] = proj_init(rng, cfg.d_model, cfg.d_ffn)
+        weights["ffn.down"] = proj_init(rng, cfg.d_ffn, cfg.d_model)
+    return weights
 
 
 class Block:
@@ -37,32 +61,19 @@ class Block:
         self.spec = spec
         self.index = index
         self.kind = spec.kind
-        self.weights: dict[str, Tensor] = {}
         self.moe_state: RouterState | None = None
         self.last_moe_load: np.ndarray | None = None
         self.lambda_init = default_lambda_init(index)
 
         self.attn_cfg, self.window, self.ssm_cfg = cfg.block_branches(spec)
         self.rope = None if self.attn_cfg is None else RopeConfig(self.attn_cfg.d_qk, cfg.rope_base)
-        self.weights["attn_norm.weight"] = Tensor(np.ones(cfg.d_model), requires_grad=True)
         if spec.kind == "intra":
             self.intra_cfg = cfg.intra_cfg(spec)
             self.fusion = cfg.block_fusion(spec)
-            self.weights.update(init_intra_params(self.intra_cfg, self.fusion, rng))
-        elif self.attn_cfg is not None:
-            self.weights.update(init_attn_params(self.attn_cfg, rng))
-        else:
-            self.weights.update(init_ssm_params(self.ssm_cfg, rng))
-
-        self.weights["ffn_norm.weight"] = Tensor(np.ones(cfg.d_model), requires_grad=True)
         if spec.moe:
             self.moe_cfg = cfg.moe_cfg()
             self.moe_state = RouterState.fresh(self.moe_cfg.n_experts)
-            self.weights.update(init_moe_params(self.moe_cfg, rng))
-        else:
-            self.weights["ffn.gate"] = proj_init(rng, cfg.d_model, cfg.d_ffn)
-            self.weights["ffn.up"] = proj_init(rng, cfg.d_model, cfg.d_ffn)
-            self.weights["ffn.down"] = proj_init(rng, cfg.d_ffn, cfg.d_model)
+        self.weights: dict[str, Tensor] = block_weights(spec, cfg, rng)
 
     def mixer(self, normed: Tensor, positions: np.ndarray, cache=None) -> Tensor:
         """Mixer output; `cache` is this block's decode state (see `decode`)."""

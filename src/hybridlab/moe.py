@@ -54,25 +54,14 @@ class RouterState:
         )
 
 
-def moe_param_shapes(cfg: MoeConfig, prefix: str = "moe") -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {
-        f"{prefix}.router": (cfg.d_model, cfg.n_experts),
-        f"{prefix}.shared.gate": (cfg.d_model, cfg.d_ffn_expert),
-        f"{prefix}.shared.up": (cfg.d_model, cfg.d_ffn_expert),
-        f"{prefix}.shared.down": (cfg.d_ffn_expert, cfg.d_model),
-    }
-    for e in range(cfg.n_experts):
-        shapes[f"{prefix}.expert{e}.gate"] = (cfg.d_model, cfg.d_ffn_expert)
-        shapes[f"{prefix}.expert{e}.up"] = (cfg.d_model, cfg.d_ffn_expert)
-        shapes[f"{prefix}.expert{e}.down"] = (cfg.d_ffn_expert, cfg.d_model)
-    return shapes
-
-
-def init_moe_params(cfg: MoeConfig, rng: np.random.Generator, prefix: str = "moe") -> dict[str, Tensor]:
-    return {
-        name: proj_init(rng, shape[0], shape[1])
-        for name, shape in moe_param_shapes(cfg, prefix).items()
-    }
+def init_moe_params(cfg: MoeConfig, rng: np.random.Generator | None, prefix: str = "moe") -> dict:
+    """Router, shared expert, then each routed expert; with rng None, their shapes."""
+    params = {f"{prefix}.router": proj_init(rng, cfg.d_model, cfg.n_experts)}
+    for expert in ["shared"] + [f"expert{e}" for e in range(cfg.n_experts)]:
+        params[f"{prefix}.{expert}.gate"] = proj_init(rng, cfg.d_model, cfg.d_ffn_expert)
+        params[f"{prefix}.{expert}.up"] = proj_init(rng, cfg.d_model, cfg.d_ffn_expert)
+        params[f"{prefix}.{expert}.down"] = proj_init(rng, cfg.d_ffn_expert, cfg.d_model)
+    return params
 
 
 def route(scores: np.ndarray, expert_bias: np.ndarray) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Shared network primitives: norms, gated FFN, rotary embedding, init.
 
+`weight` draws one trainable tensor, or with no rng only names its
+shape, so each block's `init_*_params` is also its shape inventory.
+
 Conventions used by every model in the package:
 
 * projections are stored as (d_in, d_out) matrices applied as ``x @ W``,
@@ -12,6 +15,7 @@ Conventions used by every model in the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,12 +33,6 @@ NORM_EPS = 1e-5
 
 
 @dataclass(frozen=True)
-class FFNConfig:
-    d_model: int
-    d_ffn: int
-
-
-@dataclass(frozen=True)
 class RopeConfig:
     head_dim: int
     base: float = 500000.0
@@ -44,12 +42,25 @@ class RopeConfig:
             raise ContractError(f"rotary head_dim must be even, got {self.head_dim}")
 
 
-def param(rng: np.random.Generator, shape: tuple[int, ...], std: float) -> Tensor:
+def weight(
+    rng: np.random.Generator | None, shape: tuple[int, ...], init: float | Callable
+) -> Tensor | tuple[int, ...]:
+    """A trainable tensor filled with the number `init` or drawn by
+    `init(rng, shape)`. With rng None it is just `shape`: nothing is
+    drawn or allocated, which is how the cost model reads an inventory.
+    """
+    if rng is None:
+        return shape
+    data = init(rng, shape) if callable(init) else np.full(shape, float(init))
+    return Tensor(data, requires_grad=True)
+
+
+def param(rng: np.random.Generator | None, shape: tuple[int, ...], std: float) -> Tensor | tuple[int, ...]:
     """Gaussian parameter tensor with requires_grad set."""
-    return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
+    return weight(rng, shape, lambda r, s: r.normal(0.0, std, size=s))
 
 
-def proj_init(rng: np.random.Generator, d_in: int, d_out: int) -> Tensor:
+def proj_init(rng: np.random.Generator | None, d_in: int, d_out: int) -> Tensor | tuple[int, ...]:
     return param(rng, (d_in, d_out), d_in ** -0.5)
 
 
@@ -76,14 +87,6 @@ def group_norm_per_head(x: Tensor, weight: Tensor, eps: float = NORM_EPS) -> Ten
 def siglu_ffn(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
     """down( silu(x @ gate) * (x @ up) ), the gate fused into one op."""
     return matmul(silu_mul(matmul(x, w_gate), matmul(x, w_up)), w_down)
-
-
-def ffn_param_shapes(cfg: FFNConfig, prefix: str = "ffn") -> dict[str, tuple[int, ...]]:
-    return {
-        f"{prefix}.gate": (cfg.d_model, cfg.d_ffn),
-        f"{prefix}.up": (cfg.d_model, cfg.d_ffn),
-        f"{prefix}.down": (cfg.d_ffn, cfg.d_model),
-    }
 
 
 def rope_angles(cfg: RopeConfig, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor
-from .nn import proj_init, rms_norm
+from .nn import param, proj_init, rms_norm, weight
 from .tensor import ContractError, DimensionError, Tensor, exp, matmul, silu, silu_mul, softplus
 
 DT_INIT_RANGE = (0.001, 0.1)
@@ -73,41 +73,29 @@ class SsmConfig:
         return 2 * self.d_ssm + 2 * self.n_groups * self.d_state + self.n_heads
 
 
-def ssm_param_shapes(cfg: SsmConfig, prefix: str = "ssm") -> dict[str, tuple[int, ...]]:
-    shapes = {
-        f"{prefix}.in_proj": (cfg.d_model, cfg.d_in_proj),
-        f"{prefix}.conv.weight": (cfg.conv_channels, cfg.n_conv),
-        f"{prefix}.conv.bias": (cfg.conv_channels,),
-        f"{prefix}.A_log": (cfg.n_heads,),
-        f"{prefix}.dt_bias": (cfg.n_heads,),
-        f"{prefix}.D": (cfg.n_heads,),
-    }
-    if cfg.gated_norm:
-        shapes[f"{prefix}.norm.weight"] = (cfg.d_ssm,)
-    shapes[f"{prefix}.out_proj"] = (cfg.d_ssm, cfg.d_model)
-    return shapes
-
-
-def init_ssm_params(cfg: SsmConfig, rng: np.random.Generator, prefix: str = "ssm") -> dict[str, Tensor]:
+def _dt_bias_init(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse softplus of a log-uniform dt in DT_INIT_RANGE."""
     lo, hi = DT_INIT_RANGE
-    dt = np.exp(rng.uniform(math.log(lo), math.log(hi), size=cfg.n_heads))
-    dt_bias = dt + np.log(-np.expm1(-dt))        # inverse softplus
+    dt = np.exp(rng.uniform(math.log(lo), math.log(hi), size=shape))
+    return dt + np.log(-np.expm1(-dt))
+
+
+def init_ssm_params(cfg: SsmConfig, rng: np.random.Generator | None, prefix: str = "ssm") -> dict:
+    """Every SSM weight; with rng None, their shapes."""
+    h = cfg.n_heads
+    # dt_bias is drawn first though listed fifth: the draw order fixes
+    # which weights a seed gives, and seeded runs and checkpoints rely on it
+    dt_bias = weight(rng, (h,), _dt_bias_init)
     params = {
         f"{prefix}.in_proj": proj_init(rng, cfg.d_model, cfg.d_in_proj),
-        f"{prefix}.conv.weight": Tensor(
-            rng.normal(0.0, cfg.n_conv ** -0.5, size=(cfg.conv_channels, cfg.n_conv)),
-            requires_grad=True,
-        ),
-        f"{prefix}.conv.bias": Tensor(np.zeros(cfg.conv_channels), requires_grad=True),
-        f"{prefix}.A_log": Tensor(
-            np.log(rng.uniform(A_INIT_RANGE[0], A_INIT_RANGE[1], size=cfg.n_heads)),
-            requires_grad=True,
-        ),
-        f"{prefix}.dt_bias": Tensor(dt_bias, requires_grad=True),
-        f"{prefix}.D": Tensor(np.ones(cfg.n_heads), requires_grad=True),
+        f"{prefix}.conv.weight": param(rng, (cfg.conv_channels, cfg.n_conv), cfg.n_conv ** -0.5),
+        f"{prefix}.conv.bias": weight(rng, (cfg.conv_channels,), 0.0),
+        f"{prefix}.A_log": weight(rng, (h,), lambda r, s: np.log(r.uniform(*A_INIT_RANGE, size=s))),
+        f"{prefix}.dt_bias": dt_bias,
+        f"{prefix}.D": weight(rng, (h,), 1.0),
     }
     if cfg.gated_norm:
-        params[f"{prefix}.norm.weight"] = Tensor(np.ones(cfg.d_ssm), requires_grad=True)
+        params[f"{prefix}.norm.weight"] = weight(rng, (cfg.d_ssm,), 1.0)
     params[f"{prefix}.out_proj"] = proj_init(rng, cfg.d_ssm, cfg.d_model)
     return params
 

@@ -5,7 +5,6 @@ from gradcheck import fd_grad_check
 from hybridlab.attention import (
     AttnConfig,
     attention_forward,
-    attn_param_shapes,
     causal_mask,
     init_attn_params,
     repeat_kv_heads,
@@ -51,7 +50,7 @@ def test_swa_mask_row_budget():
 
 
 def test_param_shapes_cover_gqa():
-    shapes = attn_param_shapes(TINY)
+    shapes = init_attn_params(TINY, None)
     assert shapes["attn.wq"] == (16, 4 * 4)
     assert shapes["attn.wk"] == (16, 2 * 4)
     assert shapes["attn.wv"] == (16, 2 * 4)

@@ -1,10 +1,12 @@
 import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hybridlab.attention import AttnConfig
-from hybridlab.config import preset
+from hybridlab.config import PRESET_NAMES, preset
 from hybridlab.costs import (
     CACHE_BYTES_PER_ELEMENT,
     GOLDEN_CONTEXT,
@@ -26,7 +28,8 @@ from hybridlab.costs import (
     params_non_embedding,
     train_flops,
 )
-from hybridlab.layout import BlockSpec, uniform_layout
+from hybridlab.hybrid import legal_fusion_specs
+from hybridlab.layout import BlockSpec, LayoutSpec, uniform_layout
 from hybridlab.model import HybridModel
 from hybridlab.ssm import SsmConfig
 
@@ -110,12 +113,37 @@ def test_param_inventory_has_no_remainder():
     assert total == params_non_embedding(layout, cfg) + params_embedding(cfg) + head
 
 
-def test_shapes_mirror_the_real_model():
+def _mirror_cases():
+    for name in PRESET_NAMES:
+        if name.startswith("toy-"):
+            yield name, *preset(name)
     cfg, layout = preset("toy-inter")
-    shapes = model_param_shapes(layout, cfg)
-    model = HybridModel(cfg, layout, seed=0)
-    real = {k: v.shape for k, v in model.parameters().items()}
-    assert shapes == real
+    yield "toy-inter-moe", cfg, LayoutSpec(tuple(replace(b, moe=True) for b in layout.blocks))
+    cfg, _ = preset("toy-intra-2l")
+    for spec in legal_fusion_specs():
+        yield spec, cfg, uniform_layout(2, BlockSpec("intra", fusion=spec))
+
+
+def test_shapes_mirror_the_real_model():
+    cases = list(_mirror_cases())
+    assert len(cases) == 6 + 1 + 40
+    for case, cfg, layout in cases:
+        model = HybridModel(cfg, layout, seed=0)
+        real = [(k, v.shape) for k, v in model.parameters().items()]
+        assert list(model_param_shapes(layout, cfg).items()) == real, case
+
+
+@pytest.mark.parametrize("name", ["intra-1b", "llama-3b"])
+def test_shape_query_allocates_nothing(name):
+    # one drawn 1B block is hundreds of MiB; the shape query draws no weight
+    cfg, layout = preset(name)
+    tracemalloc.start()
+    try:
+        model_param_shapes(layout, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 def test_activated_subtracts_inactive_experts():

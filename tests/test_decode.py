@@ -187,6 +187,21 @@ def test_greedy_generation_is_deterministic():
     assert a.shape == (1, 6)
 
 
+def test_generate_with_no_new_tokens_returns_the_prefilled_state():
+    cfg, layout = preset("toy-inter")
+    model = HybridModel(cfg, layout, seed=0)
+    prompt = named_rng(0, "gen").integers(0, cfg.vocab, size=(2, 6))
+    out, state = generate(model, prompt, n_new=0)
+    assert out.shape == (2, 0) and out.dtype.kind == "i"
+    fresh, logits = prefill(model, prompt)
+    assert state.position == fresh.position == 6
+    # the returned state decodes on exactly as a fresh prefill does
+    nxt = sample_token(logits.data[:, -1])
+    assert np.array_equal(decode_step(model, state, nxt).data, decode_step(model, fresh, nxt).data)
+    with pytest.raises(ContractError, match="n_new"):
+        generate(model, prompt, n_new=-1)
+
+
 def test_tempered_sampling_uses_the_rng():
     cfg, layout = preset("toy-llama")
     model = HybridModel(cfg, layout, seed=0)

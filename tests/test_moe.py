@@ -15,7 +15,6 @@ from hybridlab.moe import (
     RouterState,
     init_moe_params,
     moe_forward,
-    moe_param_shapes,
     route,
     update_balance,
 )
@@ -126,7 +125,7 @@ def test_balance_loop_tames_a_skewed_router():
 
 
 def test_param_shapes_include_router_shared_and_experts():
-    shapes = moe_param_shapes(TINY)
+    shapes = init_moe_params(TINY, None)
     assert shapes["moe.router"] == (6, 4)
     assert shapes["moe.shared.gate"] == (6, 8)
     assert shapes["moe.expert3.down"] == (8, 6)

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from gradcheck import fd_grad_check
+from hybridlab.config import ModelConfig
+from hybridlab.costs import block_param_shapes
+from hybridlab.layout import BlockSpec
 from hybridlab.nn import (
     NORM_EPS,
-    FFNConfig,
     RopeConfig,
     apply_rope,
-    ffn_param_shapes,
     group_norm_per_head,
     param,
     proj_init,
@@ -95,8 +96,13 @@ def test_siglu_ffn_matches_reference():
 
 
 def test_ffn_param_shapes():
-    shapes = ffn_param_shapes(FFNConfig(d_model=8, d_ffn=24))
-    assert shapes == {"ffn.gate": (8, 24), "ffn.up": (8, 24), "ffn.down": (24, 8)}
+    cfg = ModelConfig(
+        d_model=8, d_ffn=24, vocab=16, n_heads=2, n_kv_heads=1, d_head=4,
+        d_ssm=8, d_head_ssm=4, d_state=4,
+    )
+    shapes = block_param_shapes(BlockSpec("attn"), cfg)
+    ffn = {k: v for k, v in shapes.items() if k.startswith("ffn.")}
+    assert ffn == {"ffn.gate": (8, 24), "ffn.up": (8, 24), "ffn.down": (24, 8)}
 
 
 def test_rope_default_base_and_even_dim_contract():

@@ -9,7 +9,6 @@ from hybridlab.ssm import (
     init_ssm_state,
     ssm_featurize,
     ssm_forward,
-    ssm_param_shapes,
     ssm_scan,
     ssm_step,
     ssm_step_core,
@@ -112,7 +111,7 @@ def test_dt_is_softplus_positive():
 
 
 def test_param_shapes_inventory():
-    shapes = ssm_param_shapes(TINY)
+    shapes = init_ssm_params(TINY, None)
     assert shapes["ssm.in_proj"] == (6, TINY.d_in_proj)
     assert shapes["ssm.conv.weight"] == (TINY.conv_channels, 3)
     assert shapes["ssm.A_log"] == (2,)
@@ -124,7 +123,7 @@ def test_param_shapes_inventory():
 def test_gated_norm_toggle_changes_params_and_output():
     rng = named_rng(0, "gn-toggle")
     plain = SsmConfig(d_model=6, d_ssm=8, d_head=4, d_state=4, n_conv=3, gated_norm=False)
-    assert "ssm.norm.weight" not in ssm_param_shapes(plain)
+    assert "ssm.norm.weight" not in init_ssm_params(plain, None)
     w_full = init_ssm_params(TINY, named_rng(0, "w"))
     w_plain = {k: v for k, v in w_full.items() if k != "ssm.norm.weight"}
     x = Tensor(rng.normal(size=(1, 4, 6)))
