@@ -37,7 +37,7 @@ for phase_seed in (0, 1):
     result = train_model(
         model, needle_batch_fn(task),
         TrainConfig(steps=150, batch=16, lr=3e-3, warmup_frac=0.2,
-                    stable_frac=0.8, cooldown_frac=0.0, seed=phase_seed))
+                    cooldown_frac=0.0, seed=phase_seed))
     print(f"phase {phase_seed}: loss {result.history[0].loss:.3f} -> {result.final_loss:.3f}")
 
 # ---------------------------------------------------------------------------

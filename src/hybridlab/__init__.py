@@ -23,7 +23,6 @@ from .config import (
     VOCAB_128K,
     ModelConfig,
     PRESET_NAMES,
-    TOY_TRAIN_PRESETS,
     base_config,
     preset,
     with_vocab,

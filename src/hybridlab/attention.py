@@ -63,6 +63,14 @@ def visible(q_pos, k_pos, window: int | None = None, sink: int = 0) -> np.ndarra
     return seen
 
 
+def check_window(window: int | None, sink: int | None) -> None:
+    """Reject window < 1 (a query sees itself) or sink < 0; None (unset) passes."""
+    if window is not None and window < 1:
+        raise ContractError(f"window must be >= 1, got {window}")
+    if sink is not None and sink < 0:
+        raise ContractError(f"sink must be >= 0, got {sink}")
+
+
 def causal_mask(seq_len: int) -> np.ndarray:
     """(L, L) boolean, True where key position j is visible to query i."""
     return visible(np.arange(seq_len), np.arange(seq_len))
@@ -74,10 +82,7 @@ def swa_mask(seq_len: int, window: int, sink: int) -> np.ndarray:
     Visible(i, j) iff j <= i and (i - j < window or j < sink). Every
     query sees at most window + sink keys.
     """
-    if window < 1:
-        raise ContractError("window must be >= 1")
-    if sink < 0:
-        raise ContractError("sink must be >= 0")
+    check_window(window, sink)
     return visible(np.arange(seq_len), np.arange(seq_len), window, sink)
 
 
@@ -175,11 +180,10 @@ def attention_forward(
     rope: RopeConfig,
     positions: np.ndarray,
     window: tuple[int, int] | None = None,
-    prefix: str = "attn",
     cache=None,
 ) -> Tensor:
     """Full block pass: x (B, L, d_model) -> (B, L, d_model)."""
-    ctx = attention_context(x, weights, cfg, rope, positions, window, prefix, cache)
+    ctx = attention_context(x, weights, cfg, rope, positions, window, cache=cache)
     b, l = x.shape[0], x.shape[1]
     ctx = ctx.reshape(b, l, cfg.n_heads * cfg.d_v)
-    return matmul(ctx, weights[f"{prefix}.wo"])
+    return matmul(ctx, weights["attn.wo"])

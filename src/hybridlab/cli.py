@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from dataclasses import asdict
 
 from .config import PRESET_NAMES, preset, with_vocab
 from .layout import LayoutError, lint_layout, load_layout, plan_layout, save_layout
@@ -60,12 +61,6 @@ def _load_ini(path: str | None) -> configparser.ConfigParser:
         if not read:
             raise ContractError(f"config file {path!r} not found")
     return parser
-
-
-def _ini_get(ini: configparser.ConfigParser, section: str, key: str, fallback=None):
-    if ini.has_option(section, key):
-        return ini.get(section, key)
-    return fallback
 
 
 # ---------------------------------------------------------------------------
@@ -243,25 +238,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _resolved_train_config(args, ini) -> "TrainConfig":
+    """A flag wins over its [train] key and TrainConfig fills in the rest;
+    --seed always has a value, so the INI never sets the seed."""
     from .harness import TrainConfig
 
-    def pick(flag_val, section, key, cast, default):
-        if flag_val is not None:
-            return flag_val
-        raw = _ini_get(ini, section, key)
-        return cast(raw) if raw is not None else default
-
-    return TrainConfig(
-        steps=pick(args.steps, "train", "steps", int, 500),
-        batch=pick(args.batch, "train", "batch", int, 16),
-        lr=pick(args.lr, "train", "lr", float, 3e-3),
-        warmup_frac=pick(args.warmup_frac, "train", "warmup_frac", float, 0.25),
-        stable_frac=pick(args.stable_frac, "train", "stable_frac", float, 0.55),
-        cooldown_frac=pick(args.cooldown_frac, "train", "cooldown_frac", float, 0.20),
-        weight_decay=pick(args.weight_decay, "train", "weight_decay", float, 0.01),
-        clip_norm=pick(args.clip_norm, "train", "clip_norm", float, 1.0),
-        seed=args.seed,
-    )
+    given = {}
+    for name, default in asdict(TrainConfig()).items():
+        value = getattr(args, name)
+        if value is None and ini.has_option("train", name):
+            value = type(default)(ini.get("train", name))
+        if value is not None:
+            given[name] = value
+    return TrainConfig(**given)
 
 
 def _task_vocab(task: str) -> int:
@@ -281,7 +269,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .serialize import save_model, write_trace_csv
 
     ini = _load_ini(args.config)
-    preset_name = args.preset or _ini_get(ini, "model", "preset", "toy-intra-2l")
+    preset_name = args.preset or ini.get("model", "preset", fallback="toy-intra-2l")
     tcfg = _resolved_train_config(args, ini)
     cfg, layout = preset(preset_name)
     cfg = with_vocab(cfg, _task_vocab(args.task))
@@ -292,13 +280,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         batch_fn = needle_batch_fn(NeedleTask(seed=args.seed))
 
-    echo = _echo({
-        "command": "train", "preset": preset_name, "task": args.task,
-        "steps": tcfg.steps, "batch": tcfg.batch, "lr": tcfg.lr,
-        "warmup_frac": tcfg.warmup_frac, "stable_frac": tcfg.stable_frac,
-        "cooldown_frac": tcfg.cooldown_frac, "weight_decay": tcfg.weight_decay,
-        "clip_norm": tcfg.clip_norm, "seed": args.seed,
-    })
+    echo = {"command": "train", "preset": preset_name, "task": args.task, **asdict(tcfg)}
     result = train_model(model, batch_fn, tcfg)
     print(f"trained {preset_name} on {args.task}: "
           f"loss {result.history[0].loss:.4f} -> {result.final_loss:.4f} "
@@ -380,6 +362,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .harness import TrainConfig
+
     p = argparse.ArgumentParser(
         prog="hybridlab",
         description="plan, cost, verify, train, and evaluate hybrid block-stack models",
@@ -423,14 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--preset", choices=PRESET_NAMES)
     st.add_argument("--task", default="copy", choices=("copy", "needle"))
     st.add_argument("--config", help="INI file with [model]/[train] defaults")
-    st.add_argument("--steps", type=int)
-    st.add_argument("--batch", type=int)
-    st.add_argument("--lr", type=float)
-    st.add_argument("--warmup-frac", dest="warmup_frac", type=float)
-    st.add_argument("--stable-frac", dest="stable_frac", type=float)
-    st.add_argument("--cooldown-frac", dest="cooldown_frac", type=float)
-    st.add_argument("--weight-decay", dest="weight_decay", type=float)
-    st.add_argument("--clip-norm", dest="clip_norm", type=float)
+    # one flag per TrainConfig field, unset unless given (see _resolved_train_config)
+    for name, default in asdict(TrainConfig()).items():
+        if name != "seed":
+            st.add_argument(f"--{name.replace('_', '-')}", dest=name, type=type(default))
     st.add_argument("--seed", type=int, default=0)
     st.add_argument("--out", help="checkpoint path")
     st.add_argument("--trace", help="loss trace CSV path")

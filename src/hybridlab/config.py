@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .attention import AttnConfig
+from .attention import AttnConfig, check_window
 from .hybrid import FUSION_PRESETS, FusionSpec, IntraHybridConfig
 from .layout import BlockSpec, LayoutSpec, plan_layout, uniform_layout
 from .moe import MoeConfig
@@ -47,6 +47,7 @@ class ModelConfig:
             raise ContractError(
                 f"n_heads*d_head = {self.n_heads * self.d_head} must equal d_model {self.d_model}"
             )
+        check_window(self.window, self.sink)
 
     def attn_cfg(self) -> AttnConfig:
         return AttnConfig(
@@ -146,9 +147,9 @@ def base_config(scale: str) -> ModelConfig:
     return ModelConfig(**row)
 
 
-def _toy_config(vocab: int = 64) -> ModelConfig:
+def _toy_config() -> ModelConfig:
     return ModelConfig(
-        d_model=64, d_ffn=192, vocab=vocab,
+        d_model=64, d_ffn=192, vocab=64,
         n_heads=8, n_kv_heads=4, d_head=8,
         d_ssm=128, d_head_ssm=16, d_state=16,
         n_conv=4, window=8, sink=2, rope_base=10000.0,
@@ -206,8 +207,6 @@ PRESET_NAMES = (
     "swa-1b", "inter-1b", "intra-1b",
     "toy-llama", "toy-mamba", "toy-swa", "toy-inter", "toy-intra", "toy-intra-2l",
 )
-
-TOY_TRAIN_PRESETS = ("toy-llama", "toy-mamba", "toy-swa", "toy-inter", "toy-intra")
 
 
 def with_vocab(cfg: ModelConfig, vocab: int) -> ModelConfig:

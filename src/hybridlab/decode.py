@@ -61,7 +61,13 @@ def _grown(buf: np.ndarray | None, filled: int, block: np.ndarray, slots: int) -
 
 
 class _KVRead:
-    """`read` for a KV cache with `k_buf`, `v_buf` and `entries`."""
+    """`read` and the write checks of a KV cache with `k_buf`, `v_buf` and `entries`."""
+
+    def _check_write(self, k: np.ndarray, positions: np.ndarray, next_pos: int) -> None:
+        if positions[0] != next_pos:
+            raise ContractError(f"this KV cache takes position {next_pos} next, got {positions[0]}")
+        if self.k_buf is not None and k.shape[0] != self.k_buf.shape[0]:
+            raise ContractError(f"this KV cache holds batch {self.k_buf.shape[0]}, got {k.shape[0]}")
 
     def read(self) -> tuple[Tensor, Tensor]:
         """Views of the filled slots, valid until the next `extend`.
@@ -94,8 +100,7 @@ class FullKV(_KVRead):
 
     def extend(self, k: np.ndarray, v: np.ndarray, positions: np.ndarray) -> None:
         """Write a (B, L, n_kv, d) block at positions entries, entries + 1, ..."""
-        if positions[0] != self.entries:
-            raise ContractError(f"this KV cache takes position {self.entries} next, got {positions[0]}")
+        self._check_write(k, positions, self.entries)
         end = self.entries + k.shape[1]
         if self.k_buf is None or end > self.k_buf.shape[1]:
             slots = max(end, 2 * self.entries)
@@ -144,8 +149,7 @@ class RollingKV(_KVRead):
     def extend(self, k: np.ndarray, v: np.ndarray, positions: np.ndarray) -> None:
         """Write the sinks and the last `window` positions of a block that
         starts at position `count`."""
-        if positions[0] != self.count:
-            raise ContractError(f"this KV cache takes position {self.count} next, got {positions[0]}")
+        self._check_write(k, positions, self.count)
         if self.k_buf is None:
             self.k_buf = np.empty((k.shape[0], self.capacity, self.n_kv, self.d_qk))
             self.v_buf = np.empty((k.shape[0], self.capacity, self.n_kv, self.d_v))
@@ -213,7 +217,7 @@ def _fresh_cache(block: Block, batch: int, slots: int) -> BlockCache:
 # prefill / step
 # ---------------------------------------------------------------------------
 
-# Prompt tokens per prefill forward: a multiple of the SSM chunk (16), and
+# Prompt tokens per prefill forward: a multiple of `ssm.SSM_CHUNK`, and
 # equal to `ssm._SCAN_SLAB`, so the chunked scan computes exactly what the
 # whole-prompt scan does. Batch 4 x 320, median of 15 alternating rounds,
 # one BLAS thread; MiB is the tracemalloc peak minus what prefill keeps:
@@ -303,9 +307,7 @@ class DecodeStepTrace:
     cache_bytes_accounted: int
 
 
-def measure_decode(
-    model: HybridModel, prompt_len: int, gen_len: int, seed: int = 0
-) -> list[DecodeStepTrace]:
+def measure_decode(model: HybridModel, prompt_len: int, gen_len: int) -> list[DecodeStepTrace]:
     """Decode a seeded random prompt, logging per-step op counts (from the
     cost model) and live state bytes against the closed-form accounting."""
     from .costs import cache_bytes, model_decode_step_flops
@@ -313,7 +315,7 @@ def measure_decode(
 
     if prompt_len < 1 or gen_len < 1:
         raise ContractError("measure_decode needs prompt_len >= 1 and gen_len >= 1")
-    rng = named_rng(seed, "measure-decode")
+    rng = named_rng(0, "measure-decode")
     prompt = rng.integers(0, model.cfg.vocab, size=(1, prompt_len))
     state, logits = prefill(model, prompt)
     trace = []

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -109,10 +110,10 @@ class NeedleTask:
     value_len: int = 2
     seed: int = 0
 
-    BOS: int = 0
-    QUERY: int = 1
-    MARK: int = 2
-    filler_lo: int = 4
+    BOS: ClassVar[int] = 0
+    QUERY: ClassVar[int] = 1
+    MARK: ClassVar[int] = 2
+    filler_lo: ClassVar[int] = 4
 
     def __post_init__(self):
         if not 0.0 <= self.depth_fraction <= 1.0:
@@ -300,23 +301,27 @@ def load_token_file(path: str, mode: str = "ids") -> np.ndarray:
 # schedule / optimizer / trainer
 # ---------------------------------------------------------------------------
 
+ADAM_BETAS = (0.9, 0.95)
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
-    steps: int = 1000
+    """Training settings; the `train` CLI's flags and defaults come from here."""
+
+    steps: int = 500
     batch: int = 16
     lr: float = 3e-3
     warmup_frac: float = 0.25
-    stable_frac: float = 0.55
     cooldown_frac: float = 0.20
     weight_decay: float = 0.01
     clip_norm: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        fracs = (self.warmup_frac, self.stable_frac, self.cooldown_frac)
+        fracs = (self.warmup_frac, self.cooldown_frac)
         if any(f < 0 for f in fracs) or sum(fracs) > 1.0 + 1e-9:
-            raise ContractError("schedule fractions must be >= 0 and sum to <= 1")
+            raise ContractError("warmup and cooldown fractions must be >= 0 and sum to <= 1")
         if self.steps < 1 or self.batch < 1 or self.lr < 0:
             raise ContractError("steps and batch must be positive, lr >= 0")
 
@@ -324,7 +329,7 @@ class TrainConfig:
 def trapezoid_lr(step: int, cfg: TrainConfig) -> float:
     """Linear warmup, flat plateau, linear cooldown to zero.
 
-    Slack when the fractions sum below 1 extends the plateau.
+    The plateau is every step that warmup and cooldown leave.
     """
     warmup = round(cfg.warmup_frac * cfg.steps)
     cooldown = round(cfg.cooldown_frac * cfg.steps)
@@ -353,16 +358,8 @@ def clip_global_norm(params: dict[str, Tensor], max_norm: float) -> float:
 class AdamW:
     """Decoupled weight decay; decay applies to matrices only."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        betas: tuple[float, float] = (0.9, 0.95),
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-    ):
+    def __init__(self, params: dict[str, Tensor], weight_decay: float = 0.01):
         self.params = params
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.m = {k: np.zeros(t.shape) for k, t in params.items()}
         self.v = {k: np.zeros(t.shape) for k, t in params.items()}
@@ -370,7 +367,7 @@ class AdamW:
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
@@ -382,7 +379,7 @@ class AdamW:
             m += (1.0 - b1) * p.grad
             v *= b2
             v += (1.0 - b2) * p.grad ** 2
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
             if p.data.ndim >= 2:
                 update = update + self.weight_decay * p.data
             p.data = p.data - lr * update

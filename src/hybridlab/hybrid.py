@@ -187,44 +187,43 @@ def init_intra_params(
     icfg: IntraHybridConfig,
     spec: FusionSpec,
     rng: np.random.Generator | None,
-    prefix: str = "intra",
 ) -> dict:
     """Both branches' weights plus the fusion cell's; with rng None, their shapes."""
     icfg.validate_fusion(spec)
     # the branch output projections are drawn and then dropped: the
     # fusion's own projections replace them, and the draws keep every
     # later weight a seed gives in place
-    params = init_attn_params(icfg.attn_cfg, rng, f"{prefix}.attn")
-    params.pop(f"{prefix}.attn.wo")
-    params.update(init_ssm_params(icfg.ssm_cfg, rng, f"{prefix}.ssm"))
-    params.pop(f"{prefix}.ssm.out_proj")
+    params = init_attn_params(icfg.attn_cfg, rng, "intra.attn")
+    params.pop("intra.attn.wo")
+    params.update(init_ssm_params(icfg.ssm_cfg, rng, "intra.ssm"))
+    params.pop("intra.ssm.out_proj")
 
     h_attn, h_ssm = icfg.n_half, icfg.d_ssm_branch // icfg.d_fuse
     if spec.norm == "group":
-        params[f"{prefix}.norm_attn.weight"] = weight(rng, (h_attn, icfg.d_fuse), 1.0)
-        params[f"{prefix}.norm_ssm.weight"] = weight(rng, (h_ssm, icfg.d_fuse), 1.0)
+        params["intra.norm_attn.weight"] = weight(rng, (h_attn, icfg.d_fuse), 1.0)
+        params["intra.norm_ssm.weight"] = weight(rng, (h_ssm, icfg.d_fuse), 1.0)
     if spec.scalar == "scale":
-        params[f"{prefix}.scale_attn"] = weight(rng, (1,), 1.0)
-        params[f"{prefix}.scale_ssm"] = weight(rng, (1,), 1.0)
+        params["intra.scale_attn"] = weight(rng, (1,), 1.0)
+        params["intra.scale_ssm"] = weight(rng, (1,), 1.0)
     elif spec.scalar == "gate":
-        params[f"{prefix}.gate_attn"] = weight(rng, (h_attn,), 0.0)
-        params[f"{prefix}.gate_ssm"] = weight(rng, (h_ssm,), 0.0)
+        params["intra.gate_attn"] = weight(rng, (h_attn,), 0.0)
+        params["intra.gate_ssm"] = weight(rng, (h_ssm,), 0.0)
     elif spec.scalar == "diff_lambda":
         for name in ("lambda_q1", "lambda_k1", "lambda_q2", "lambda_k2"):
-            params[f"{prefix}.{name}"] = param(rng, (icfg.d_fuse,), 0.1)
+            params[f"intra.{name}"] = param(rng, (icfg.d_fuse,), 0.1)
 
     if spec.out_projs == 1:
-        params[f"{prefix}.wo"] = proj_init(rng, fused_width(icfg, spec), icfg.d_model)
+        params["intra.wo"] = proj_init(rng, fused_width(icfg, spec), icfg.d_model)
     else:
-        params[f"{prefix}.wo_attn"] = proj_init(rng, h_attn * icfg.d_fuse, icfg.d_model)
-        params[f"{prefix}.wo_ssm"] = proj_init(rng, icfg.d_ssm_branch, icfg.d_model)
+        params["intra.wo_attn"] = proj_init(rng, h_attn * icfg.d_fuse, icfg.d_model)
+        params["intra.wo_ssm"] = proj_init(rng, icfg.d_ssm_branch, icfg.d_model)
     return params
 
 
-def diff_lambda_value(weights: dict[str, Tensor], lambda_init: float, prefix: str = "intra") -> Tensor:
+def diff_lambda_value(weights: dict[str, Tensor], lambda_init: float) -> Tensor:
     """Scalar lambda = exp(lq1.lk1) - exp(lq2.lk2) + lambda_init."""
-    l1 = exp(tsum(weights[f"{prefix}.lambda_q1"] * weights[f"{prefix}.lambda_k1"]))
-    l2 = exp(tsum(weights[f"{prefix}.lambda_q2"] * weights[f"{prefix}.lambda_k2"]))
+    l1 = exp(tsum(weights["intra.lambda_q1"] * weights["intra.lambda_k1"]))
+    l2 = exp(tsum(weights["intra.lambda_q2"] * weights["intra.lambda_k2"]))
     return l1 - l2 + lambda_init
 
 
@@ -235,22 +234,21 @@ def fuse_branches(
     icfg: IntraHybridConfig,
     spec: FusionSpec,
     lambda_init: float = 0.5,
-    prefix: str = "intra",
 ) -> Tensor:
     """Norm, scalar, fusion, projection. a (B,L,Ha,df), m (B,L,Hm,df)."""
     b, l = a.shape[0], a.shape[1]
     if spec.norm == "group":
-        a = group_norm_per_head(a, weights[f"{prefix}.norm_attn.weight"])
-        m = group_norm_per_head(m, weights[f"{prefix}.norm_ssm.weight"])
+        a = group_norm_per_head(a, weights["intra.norm_attn.weight"])
+        m = group_norm_per_head(m, weights["intra.norm_ssm.weight"])
     if spec.scalar == "scale":
-        a = a * weights[f"{prefix}.scale_attn"]
-        m = m * weights[f"{prefix}.scale_ssm"]
+        a = a * weights["intra.scale_attn"]
+        m = m * weights["intra.scale_ssm"]
     elif spec.scalar == "gate":
         ha, hm = a.shape[2], m.shape[2]
-        a = a * sigmoid(weights[f"{prefix}.gate_attn"]).reshape(1, 1, ha, 1)
-        m = m * sigmoid(weights[f"{prefix}.gate_ssm"]).reshape(1, 1, hm, 1)
+        a = a * sigmoid(weights["intra.gate_attn"]).reshape(1, 1, ha, 1)
+        m = m * sigmoid(weights["intra.gate_ssm"]).reshape(1, 1, hm, 1)
     elif spec.scalar == "diff_lambda":
-        m = m * diff_lambda_value(weights, lambda_init, prefix)
+        m = m * diff_lambda_value(weights, lambda_init)
 
     flat_a = a.reshape(b, l, a.shape[2] * a.shape[3])
     flat_m = m.reshape(b, l, m.shape[2] * m.shape[3])
@@ -261,9 +259,9 @@ def fuse_branches(
             fused = flat_a + flat_m
         else:
             fused = flat_a - flat_m
-        return matmul(fused, weights[f"{prefix}.wo"])
-    ya = matmul(flat_a, weights[f"{prefix}.wo_attn"])
-    ym = matmul(flat_m, weights[f"{prefix}.wo_ssm"])
+        return matmul(fused, weights["intra.wo"])
+    ya = matmul(flat_a, weights["intra.wo_attn"])
+    ym = matmul(flat_m, weights["intra.wo_ssm"])
     return ya + ym if spec.fusion == "add" else ya - ym
 
 
@@ -272,7 +270,6 @@ def ssm_branch_step(
     weights: dict[str, Tensor],
     scfg: SsmConfig,
     state: SsmState,
-    prefix: str = "intra.ssm",
 ) -> tuple[Tensor, SsmState]:
     """Single-token SSM half: x_t (B, d_model) -> (B, 1, H_ssm, d_fuse).
 
@@ -281,7 +278,7 @@ def ssm_branch_step(
     """
     new = SsmState(conv_buf=state.conv_buf, h=state.h)
     x = x_t.reshape(x_t.shape[0], 1, scfg.d_model)
-    return ssm_context(x, weights, scfg, prefix=prefix, state=new), new
+    return ssm_context(x, weights, scfg, prefix="intra.ssm", state=new), new
 
 
 def intra_hybrid_forward(
@@ -291,8 +288,6 @@ def intra_hybrid_forward(
     spec: FusionSpec,
     positions: np.ndarray,
     lambda_init: float = 0.5,
-    chunk: int = 16,
-    prefix: str = "intra",
     cache=None,
 ) -> Tensor:
     """Full block pass: (B, L, d_model) -> (B, L, d_model).
@@ -303,11 +298,10 @@ def intra_hybrid_forward(
     """
     icfg.validate_fusion(spec)
     a = attention_context(
-        x, weights, icfg.attn_cfg, icfg.rope_cfg, positions, prefix=f"{prefix}.attn",
+        x, weights, icfg.attn_cfg, icfg.rope_cfg, positions, prefix="intra.attn",
         cache=None if cache is None else cache.kv,
     )
     m = ssm_context(
-        x, weights, icfg.ssm_cfg, chunk=chunk, prefix=f"{prefix}.ssm",
-        state=None if cache is None else cache.ssm,
+        x, weights, icfg.ssm_cfg, prefix="intra.ssm", state=None if cache is None else cache.ssm
     )
-    return fuse_branches(a, m, weights, icfg, spec, lambda_init, prefix)
+    return fuse_branches(a, m, weights, icfg, spec, lambda_init)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .attention import check_window
 from .hybrid import FusionSpec
 from .tensor import ContractError
 
@@ -54,6 +55,7 @@ class BlockSpec:
             raise ContractError(f"unknown block kind {self.kind!r}; expected one of {BLOCK_KINDS}")
         if self.kind != "swa" and (self.window is not None or self.sink is not None):
             raise ContractError(f"window/sink only apply to swa blocks, not {self.kind!r}")
+        check_window(self.window, self.sink)
         if self.kind != "intra" and (self.fusion is not None or self.dim_ratio is not None):
             raise ContractError(f"fusion/dim_ratio only apply to intra blocks, not {self.kind!r}")
 
@@ -175,7 +177,7 @@ def uniform_layout(depth: int, spec: BlockSpec) -> LayoutSpec:
     return LayoutSpec(blocks=(spec,) * depth)
 
 
-def lint_layout(layout: LayoutSpec, special_kinds: tuple[str, ...] = ("attn", "swa", "intra")) -> list[str]:
+def lint_layout(layout: LayoutSpec) -> list[str]:
     """Warnings for placements the ablations punish; empty list is clean.
 
     Special here means any non-mamba kind. Rules: never put a special
@@ -184,7 +186,7 @@ def lint_layout(layout: LayoutSpec, special_kinds: tuple[str, ...] = ("attn", "s
     informational.
     """
     warnings: list[str] = []
-    special_idx = [i for i, b in enumerate(layout.blocks) if b.kind in special_kinds]
+    special_idx = [i for i, b in enumerate(layout.blocks) if b.kind != "mamba"]
     n_special = len(special_idx)
     if n_special and n_special < layout.depth:
         if special_idx[0] == 0:

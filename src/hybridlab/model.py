@@ -22,7 +22,6 @@ from .tensor import ContractError, Tensor, embedding_lookup, matmul, named_rng
 
 EMBED_STD = 0.02
 HEAD_STD = 0.02
-SSM_CHUNK = 16
 
 
 def block_weights(spec: BlockSpec, cfg: ModelConfig, rng: np.random.Generator | None) -> dict:
@@ -80,10 +79,10 @@ class Block:
         if self.kind == "intra":
             return intra_hybrid_forward(
                 normed, self.weights, self.intra_cfg, self.fusion, positions,
-                lambda_init=self.lambda_init, chunk=SSM_CHUNK, cache=cache,
+                lambda_init=self.lambda_init, cache=cache,
             )
         if self.attn_cfg is None:
-            return ssm_forward(normed, self.weights, self.ssm_cfg, chunk=SSM_CHUNK, state=cache)
+            return ssm_forward(normed, self.weights, self.ssm_cfg, state=cache)
         return attention_forward(
             normed, self.weights, self.attn_cfg, self.rope, positions, window=self.window, cache=cache
         )
@@ -104,7 +103,7 @@ class Block:
 
     def update_moe_balance(self) -> None:
         if self.moe_state is not None and self.last_moe_load is not None:
-            update_balance(self.moe_state, self.last_moe_load, self.moe_cfg.balance_rate)
+            update_balance(self.moe_state, self.last_moe_load)
             self.last_moe_load = None
 
 

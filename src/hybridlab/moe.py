@@ -32,7 +32,6 @@ class MoeConfig:
     d_model: int
     d_ffn_expert: int
     n_experts: int = 8
-    balance_rate: float = BALANCE_RATE
 
     def __post_init__(self):
         if self.n_experts < 1:
@@ -54,13 +53,13 @@ class RouterState:
         )
 
 
-def init_moe_params(cfg: MoeConfig, rng: np.random.Generator | None, prefix: str = "moe") -> dict:
+def init_moe_params(cfg: MoeConfig, rng: np.random.Generator | None) -> dict:
     """Router, shared expert, then each routed expert; with rng None, their shapes."""
-    params = {f"{prefix}.router": proj_init(rng, cfg.d_model, cfg.n_experts)}
+    params = {"moe.router": proj_init(rng, cfg.d_model, cfg.n_experts)}
     for expert in ["shared"] + [f"expert{e}" for e in range(cfg.n_experts)]:
-        params[f"{prefix}.{expert}.gate"] = proj_init(rng, cfg.d_model, cfg.d_ffn_expert)
-        params[f"{prefix}.{expert}.up"] = proj_init(rng, cfg.d_model, cfg.d_ffn_expert)
-        params[f"{prefix}.{expert}.down"] = proj_init(rng, cfg.d_ffn_expert, cfg.d_model)
+        params[f"moe.{expert}.gate"] = proj_init(rng, cfg.d_model, cfg.d_ffn_expert)
+        params[f"moe.{expert}.up"] = proj_init(rng, cfg.d_model, cfg.d_ffn_expert)
+        params[f"moe.{expert}.down"] = proj_init(rng, cfg.d_ffn_expert, cfg.d_model)
     return params
 
 
@@ -87,7 +86,6 @@ def moe_forward(
     weights: dict[str, Tensor],
     cfg: MoeConfig,
     state: RouterState,
-    prefix: str = "moe",
 ) -> tuple[Tensor, np.ndarray]:
     """(B, L, d_model) -> (B, L, d_model) plus per-expert token loads.
 
@@ -100,15 +98,15 @@ def moe_forward(
     tokens = b * l
     xf = x.reshape(tokens, d)
 
-    scores = sigmoid(matmul(xf, weights[f"{prefix}.router"]))       # (T, E)
+    scores = sigmoid(matmul(xf, weights["moe.router"]))             # (T, E)
     selected = route(scores.data, state.expert_bias)                # (T,)
     gates = scores[np.arange(tokens), selected].reshape(tokens, 1)  # (T, 1)
 
     shared = siglu_ffn(
         xf,
-        weights[f"{prefix}.shared.gate"],
-        weights[f"{prefix}.shared.up"],
-        weights[f"{prefix}.shared.down"],
+        weights["moe.shared.gate"],
+        weights["moe.shared.up"],
+        weights["moe.shared.down"],
     )
     loads = np.bincount(selected, minlength=cfg.n_experts)
     order = np.argsort(selected, kind="stable")                     # token ids grouped by expert
@@ -117,9 +115,9 @@ def moe_forward(
     parts = [
         siglu_ffn(
             xs[starts[e] : starts[e + 1]],
-            weights[f"{prefix}.expert{e}.gate"],
-            weights[f"{prefix}.expert{e}.up"],
-            weights[f"{prefix}.expert{e}.down"],
+            weights[f"moe.expert{e}.gate"],
+            weights[f"moe.expert{e}.up"],
+            weights[f"moe.expert{e}.down"],
         )
         for e in range(cfg.n_experts)
         if loads[e]

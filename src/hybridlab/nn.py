@@ -64,24 +64,24 @@ def proj_init(rng: np.random.Generator | None, d_in: int, d_out: int) -> Tensor 
     return param(rng, (d_in, d_out), d_in ** -0.5)
 
 
-def rms_norm(x: Tensor, weight: Tensor, eps: float = NORM_EPS) -> Tensor:
+def rms_norm(x: Tensor, weight: Tensor) -> Tensor:
     """x * rsqrt(mean(x^2) + eps) * weight over the last dim, as one op."""
     if weight.shape != (x.shape[-1],):
         raise DimensionError(f"rms_norm weight {weight.shape} vs features {x.shape[-1]}")
-    return normalize_lastdim(x, weight, eps)
+    return normalize_lastdim(x, weight, NORM_EPS)
 
 
-def group_norm_per_head(x: Tensor, weight: Tensor, eps: float = NORM_EPS) -> Tensor:
+def group_norm_per_head(x: Tensor, weight: Tensor) -> Tensor:
     """Zero-mean unit-variance per (position, head) with per-head affine.
 
     x: (..., n_heads, head_dim); weight: (n_heads, head_dim). A constant
-    head normalizes to zeros (variance floor eps), never to NaN. One op.
+    head normalizes to zeros (variance floor NORM_EPS), never to NaN. One op.
     """
     if x.ndim < 2:
         raise DimensionError("group_norm_per_head needs (..., heads, head_dim)")
     if weight.shape != x.shape[-2:]:
         raise DimensionError(f"group norm weight {weight.shape} vs heads {x.shape[-2:]}")
-    return normalize_lastdim(x, weight, eps, center=True)
+    return normalize_lastdim(x, weight, NORM_EPS, center=True)
 
 
 def siglu_ffn(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:

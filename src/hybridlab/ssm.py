@@ -40,6 +40,7 @@ from .tensor import ContractError, DimensionError, Tensor, exp, matmul, silu, si
 
 DT_INIT_RANGE = (0.001, 0.1)
 A_INIT_RANGE = (1.0, 16.0)
+SSM_CHUNK = 16          # tokens per scan chunk on the model path
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,8 @@ def ssm_featurize(
     """
     if x.ndim != 3:
         raise DimensionError(f"ssm expects (batch, seq, d_model), got {x.shape}")
+    if state is not None and state.h.shape[0] != x.shape[0]:
+        raise ContractError(f"this SSM state holds batch {state.h.shape[0]}, got {x.shape[0]}")
     d, gn, h = cfg.d_ssm, cfg.n_groups * cfg.d_state, cfg.n_heads
     b, l = x.shape[0], x.shape[1]
     proj = matmul(x, weights[f"{prefix}.in_proj"])       # (B, L, d_in_proj)
@@ -234,7 +237,7 @@ def ssm_scan(
     a_log: Tensor,
     d_skip: Tensor,
     h0: Tensor | None = None,
-    chunk: int = 16,
+    chunk: int = SSM_CHUNK,
     return_state: bool = False,
 ):
     """Chunked causal scan as one op. xs (B, L, H, P), dt (B, L, H), bm/cm (B, L, G, N).
@@ -440,7 +443,7 @@ def ssm_context(
     x: Tensor,
     weights: dict[str, Tensor],
     cfg: SsmConfig,
-    chunk: int = 16,
+    chunk: int = SSM_CHUNK,
     prefix: str = "ssm",
     state: SsmState | None = None,
 ) -> Tensor:
@@ -463,8 +466,7 @@ def ssm_forward(
     x: Tensor,
     weights: dict[str, Tensor],
     cfg: SsmConfig,
-    chunk: int = 16,
-    prefix: str = "ssm",
+    chunk: int = SSM_CHUNK,
     state: SsmState | None = None,
 ) -> Tensor:
     """Full block pass: (B, L, d_model) -> (B, L, d_model).
@@ -473,10 +475,10 @@ def ssm_forward(
     projection; `state` is advanced as there.
     """
     b, l = x.shape[0], x.shape[1]
-    gated = ssm_context(x, weights, cfg, chunk, prefix, state).reshape(b, l, cfg.d_ssm)
+    gated = ssm_context(x, weights, cfg, chunk, state=state).reshape(b, l, cfg.d_ssm)
     if cfg.gated_norm:
-        gated = rms_norm(gated, weights[f"{prefix}.norm.weight"])
-    return matmul(gated, weights[f"{prefix}.out_proj"])
+        gated = rms_norm(gated, weights["ssm.norm.weight"])
+    return matmul(gated, weights["ssm.out_proj"])
 
 
 def ssm_step(
@@ -484,7 +486,6 @@ def ssm_step(
     weights: dict[str, Tensor],
     cfg: SsmConfig,
     state: SsmState,
-    prefix: str = "ssm",
 ) -> tuple[Tensor, SsmState]:
     """The composed reference for one token: x_t (B, d_model) -> (B, d_model).
 
@@ -495,12 +496,12 @@ def ssm_step(
         raise DimensionError(f"ssm_step expects (batch, d_model), got {x_t.shape}")
     b, h, g = x_t.shape[0], cfg.n_heads, cfg.n_groups
     new = SsmState(conv_buf=state.conv_buf, h=state.h)
-    z, xs, bm, cm, dt = ssm_featurize(x_t.reshape(b, 1, cfg.d_model), weights, cfg, prefix, new)
+    z, xs, bm, cm, dt = ssm_featurize(x_t.reshape(b, 1, cfg.d_model), weights, cfg, state=new)
     y, new.h = ssm_step_core(
         xs.reshape(b, h, cfg.d_head), dt.reshape(b, h), bm.reshape(b, g, cfg.d_state),
-        cm.reshape(b, g, cfg.d_state), weights[f"{prefix}.A_log"], weights[f"{prefix}.D"], state.h,
+        cm.reshape(b, g, cfg.d_state), weights["ssm.A_log"], weights["ssm.D"], state.h,
     )
     gated = silu_mul(z.reshape(b, h, cfg.d_head), y).reshape(b, cfg.d_ssm)
     if cfg.gated_norm:
-        gated = rms_norm(gated, weights[f"{prefix}.norm.weight"])
-    return matmul(gated, weights[f"{prefix}.out_proj"]), new
+        gated = rms_norm(gated, weights["ssm.norm.weight"])
+    return matmul(gated, weights["ssm.out_proj"]), new

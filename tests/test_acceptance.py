@@ -358,7 +358,7 @@ def test_needle_retrieval_and_grid_round_trip(tmp_path):
     for phase_seed in (0, 1):
         train_model(model, needle_batch_fn(task),
                     TrainConfig(steps=150, batch=16, lr=3e-3, warmup_frac=0.2,
-                                stable_frac=0.8, cooldown_frac=0.0, seed=phase_seed))
+                                cooldown_frac=0.0, seed=phase_seed))
 
     depths = (0.0, 0.25, 0.5, 0.75, 1.0)
     grid = niah_eval(model, depths, lengths=(task.context_len,), trials=20, task=task)

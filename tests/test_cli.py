@@ -1,13 +1,18 @@
+import re
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from hybridlab.cli import main
 from hybridlab.config import preset
+from hybridlab.harness import TrainConfig
 from hybridlab.layout import load_layout
 from hybridlab.model import HybridModel
 from hybridlab.serialize import read_csv, read_niah_csv, save_model
+from hybridlab.verify import run_suites
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +110,13 @@ def test_verify_unknown_suite_is_an_error(capsys):
     assert "unknown suite" in capsys.readouterr().err
 
 
+def test_readme_states_the_verify_check_count():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    stated = re.search(r"hybridlab verify +#.*\((\d+) checks\)", readme)
+    assert stated is not None
+    assert int(stated.group(1)) == len(run_suites())
+
+
 # ---------------------------------------------------------------------------
 # train / eval
 # ---------------------------------------------------------------------------
@@ -140,6 +152,42 @@ def test_train_ini_defaults_and_flag_override(tmp_path, capsys):
     assert main(["train", "--config", str(ini), "--task", "copy"]) == 0
     out = capsys.readouterr().out
     assert "trained toy-llama on copy: " in out and "(2 steps)" in out
+
+
+def test_train_takes_a_warmup_that_fits_beside_the_cooldown(tmp_path):
+    assert main(_train_args(tmp_path, "t.csv", ["--warmup-frac", "0.5"])) == 0
+
+
+# a value unlike its default for every TrainConfig field but the seed
+SETTINGS = {"steps": 3, "batch": 3, "lr": 2e-3, "warmup_frac": 0.3, "cooldown_frac": 0.1,
+            "weight_decay": 0.02, "clip_norm": 0.5}
+
+
+@pytest.mark.parametrize("source", ("flag", "ini"))
+def test_every_train_setting_but_the_seed_has_a_flag_and_an_ini_key(tmp_path, source):
+    assert set(SETTINGS) == {f.name for f in fields(TrainConfig)} - {"seed"}
+    if source == "flag":
+        extra = [arg for k, v in SETTINGS.items() for arg in (f"--{k.replace('_', '-')}", str(v))]
+    else:
+        ini = tmp_path / "run.ini"
+        ini.write_text("[train]\n" + "".join(f"{k} = {v}\n" for k, v in SETTINGS.items()))
+        extra = ["--config", str(ini)]
+    trace = str(tmp_path / "t.csv")
+    assert main(["train", "--preset", "toy-llama", "--trace", trace, *extra]) == 0
+    _, rows, echo = read_csv(trace)
+    assert {k: type(v)(echo[k]) for k, v in SETTINGS.items()} == SETTINGS
+    assert len(rows) == 3
+
+
+def test_a_train_flag_wins_over_its_ini_key_and_the_config_fills_the_rest(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[train]\nsteps = 4\nbatch = 2\n")
+    trace = str(tmp_path / "t.csv")
+    assert main(["train", "--config", str(ini), "--preset", "toy-llama", "--steps", "2",
+                 "--trace", trace]) == 0
+    _, rows, echo = read_csv(trace)
+    assert len(rows) == 2 and echo["steps"] == "2" and echo["batch"] == "2"
+    assert float(echo["lr"]) == TrainConfig().lr
 
 
 def test_train_missing_config_is_an_error(tmp_path, capsys):

@@ -380,6 +380,23 @@ def test_a_kv_cache_takes_a_chunk_only_at_its_own_position(name):
     assert np.isfinite(logits.data).all()
 
 
+@pytest.mark.parametrize("name", ("toy-llama", "toy-swa", "toy-mamba", "toy-intra"))
+@pytest.mark.parametrize("held, given", [(1, 2), (2, 1)])
+def test_a_decode_step_of_the_wrong_batch_is_refused_before_any_write(name, held, given):
+    cfg, layout = preset(name)
+    model = HybridModel(cfg, layout, seed=0)
+    prompt = named_rng(0, "wrong-batch").integers(0, cfg.vocab, size=(held, 12))
+    state, _ = prefill(model, prompt)
+    untouched, _ = prefill(model, prompt)
+    before = state.position, state.cache_bytes()
+    with pytest.raises(ContractError, match=f"holds batch {held}, got {given}"):
+        decode_step(model, state, np.arange(given))
+    assert (state.position, state.cache_bytes()) == before
+    # nothing was written: the next step of the right batch is unchanged
+    step = np.arange(held)
+    np.testing.assert_array_equal(decode_step(model, state, step).data, decode_step(model, untouched, step).data)
+
+
 def _transient_prefill_mib(name, length, batch=4):
     """tracemalloc peak of a prefill minus what it keeps (caches and logits)."""
     cfg, layout = preset(name)

@@ -44,17 +44,24 @@ def test_trapezoid_shape():
 
 
 def test_trapezoid_slack_extends_plateau():
-    cfg = TrainConfig(steps=100, lr=1.0, warmup_frac=0.1, stable_frac=0.2, cooldown_frac=0.1)
+    cfg = TrainConfig(steps=100, lr=1.0, warmup_frac=0.1, cooldown_frac=0.1)
     lrs = [trapezoid_lr(s, cfg) for s in range(100)]
-    # fractions sum to 0.4; everything between warmup and cooldown is flat
+    # fractions sum to 0.2; everything between warmup and cooldown is flat
     assert all(v == 1.0 for v in lrs[10:90])
+
+
+def test_a_long_warmup_leaves_the_rest_to_the_plateau():
+    # 5 warmup steps, 3 flat, 2 cooldown: warmup 0.5 and cooldown 0.2 fit
+    cfg = TrainConfig(steps=10, lr=1.0, warmup_frac=0.5)
+    lrs = [trapezoid_lr(s, cfg) for s in range(10)]
+    assert lrs == pytest.approx([(s + 1) / 5 for s in range(5)] + [1.0] * 3 + [(10 - s) / 2 for s in (8, 9)])
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
         dict(warmup_frac=-0.1),
-        dict(warmup_frac=0.5, stable_frac=0.4, cooldown_frac=0.2),
+        dict(warmup_frac=0.9, cooldown_frac=0.2),
         dict(steps=0),
         dict(batch=0),
         dict(lr=-1e-3),

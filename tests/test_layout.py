@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from hybridlab.config import preset
 from hybridlab.hybrid import FUSION_PRESETS
 from hybridlab.layout import (
     LAYOUT_HEADER,
@@ -127,6 +130,21 @@ def test_uniform_layout():
     layout = uniform_layout(3, BlockSpec("mamba"))
     assert layout.depth == 3
     assert layout.describe() == "MMM"
+
+
+@pytest.mark.parametrize("window, sink", [(0, 0), (-3, -1), (8, -1)])
+def test_swa_window_and_sink_are_checked_where_they_are_set(window, sink):
+    with pytest.raises(ContractError):
+        BlockSpec("swa", window=window, sink=sink)
+    with pytest.raises(ContractError):
+        parse_layout(f"{LAYOUT_HEADER}\nswa window={window} sink={sink}\n")
+    with pytest.raises(ContractError):
+        replace(preset("toy-swa")[0], window=window, sink=sink)
+
+
+def test_the_smallest_swa_window_and_sink_are_legal():
+    assert BlockSpec("swa", window=1, sink=0).window == 1
+    assert replace(preset("toy-swa")[0], window=1, sink=0).window == 1
 
 
 def test_block_spec_field_contracts():
