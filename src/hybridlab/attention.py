@@ -136,8 +136,9 @@ def attention_context(
     one token) the chunk writes first and attends over the `(k, v)`
     views `read` returns. A longer chunk against a rolling cache would
     overwrite ring slots that its earlier queries still see, so it
-    attends over `read()` plus its own keys and writes after. One token
-    sees every key its cache holds, so its mask stays None.
+    checks its batch, attends over `read()` plus its own keys and writes
+    after. One token sees every key its cache holds, so its mask stays
+    None.
     """
     if x.ndim != 3:
         raise DimensionError(f"attention expects (batch, seq, d_model), got {x.shape}")
@@ -162,6 +163,7 @@ def attention_context(
         k, v = cache.read()
         key_pos = None if l == 1 else cache.positions()
     elif cache is not None:
+        cache.check_batch(b)                  # the read comes before extend's checks
         # the ring write could evict keys this chunk's earlier queries see
         new_k, new_v = k.data, v.data
         if cache.entries:

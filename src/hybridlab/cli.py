@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict
 
 from .config import PRESET_NAMES, preset, with_vocab
-from .layout import LayoutError, lint_layout, load_layout, plan_layout, save_layout
+from .layout import POSITIONINGS, LayoutError, lint_layout, load_layout, parse_ratio, plan_layout, save_layout
 from .tensor import ContractError, set_chaos
 
 
@@ -32,14 +32,6 @@ def _fmt3(x: float) -> str:
 
 def _echo(pairs: dict) -> dict:
     return {k: v for k, v in pairs.items() if v is not None}
-
-
-def _parse_ratio(text: str) -> tuple[int, int]:
-    try:
-        a, _, b = text.partition(":")
-        return int(a), int(b)
-    except ValueError as err:
-        raise ContractError(f"ratio must look like 1:5, got {text!r}") from err
 
 
 def _parse_counts(text: str, depth: int) -> tuple[int, int]:
@@ -69,22 +61,14 @@ def _load_ini(path: str | None) -> configparser.ConfigParser:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    if args.ratio is not None:
-        layout = plan_layout(
-            depth=args.depth,
-            ratio=_parse_ratio(args.ratio),
-            special=args.kind,
-            base=args.base,
-            positioning=args.pos,
-        )
-    else:
-        layout = plan_layout(
-            depth=args.depth,
-            counts=_parse_counts(args.count, args.depth),
-            special=args.kind,
-            base=args.base,
-            positioning=args.pos,
-        )
+    layout = plan_layout(
+        depth=args.depth,
+        ratio=None if args.ratio is None else parse_ratio(args.ratio),
+        counts=None if args.count is None else _parse_counts(args.count, args.depth),
+        special=args.kind,
+        base=args.base,
+        positioning=args.pos,
+    )
     print(f"layout ({layout.depth} blocks): {layout.describe()}")
     for i, spec in enumerate(layout.blocks):
         print(f"  {i:3d}  {spec.kind}")
@@ -238,8 +222,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _resolved_train_config(args, ini) -> "TrainConfig":
-    """A flag wins over its [train] key and TrainConfig fills in the rest;
-    --seed always has a value, so the INI never sets the seed."""
+    """A flag wins over its [train] key and TrainConfig fills in the rest."""
     from .harness import TrainConfig
 
     given = {}
@@ -273,12 +256,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     tcfg = _resolved_train_config(args, ini)
     cfg, layout = preset(preset_name)
     cfg = with_vocab(cfg, _task_vocab(args.task))
-    model = HybridModel(cfg, layout, seed=args.seed)
+    model = HybridModel(cfg, layout, seed=tcfg.seed)
 
     if args.task == "copy":
         batch_fn = copy_batch_fn()
     else:
-        batch_fn = needle_batch_fn(NeedleTask(seed=args.seed))
+        batch_fn = needle_batch_fn(NeedleTask(seed=tcfg.seed))
 
     echo = {"command": "train", "preset": preset_name, "task": args.task, **asdict(tcfg)}
     result = train_model(model, batch_fn, tcfg)
@@ -377,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--count", help="explicit counts, e.g. 2,11 (special,base) or a bare special count")
     sp.add_argument("--kind", default="attn", choices=("attn", "swa", "intra"))
     sp.add_argument("--base", default="mamba", choices=("mamba", "attn", "swa"))
-    sp.add_argument("--pos", default="scatter",
-                    choices=("scatter", "cluster", "front", "middle", "end", "sandwich"))
+    sp.add_argument("--pos", default="scatter", choices=POSITIONINGS)
     sp.add_argument("--out", help="write the layout file here")
     sp.set_defaults(func=cmd_plan)
 
@@ -409,9 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--config", help="INI file with [model]/[train] defaults")
     # one flag per TrainConfig field, unset unless given (see _resolved_train_config)
     for name, default in asdict(TrainConfig()).items():
-        if name != "seed":
-            st.add_argument(f"--{name.replace('_', '-')}", dest=name, type=type(default))
-    st.add_argument("--seed", type=int, default=0)
+        st.add_argument(f"--{name.replace('_', '-')}", dest=name, type=type(default))
     st.add_argument("--out", help="checkpoint path")
     st.add_argument("--trace", help="loss trace CSV path")
     st.set_defaults(func=cmd_train)

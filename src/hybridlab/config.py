@@ -156,6 +156,28 @@ def _toy_config() -> ModelConfig:
     )
 
 
+# name -> (published scale, None for the toy dims; builder of its layout)
+_PRESETS = {
+    **{f"llama-{s}": (s, lambda s=s: uniform_layout(_SCALES[s]["depth_attn"], BlockSpec(kind="attn")))
+       for s in _SCALES},
+    **{f"mamba-{s}": (s, lambda s=s: uniform_layout(_SCALES[s]["depth_ssm"], BlockSpec(kind="mamba")))
+       for s in _SCALES},
+    "swa-1b": ("1b", lambda: plan_layout(
+        depth=_SCALES["1b"]["depth_attn"], counts=(3, 13),
+        special="attn", base="swa", positioning="scatter",
+    )),
+    "inter-1b": ("1b", lambda: plan_layout(depth=13, counts=(2, 11), special="attn", base="mamba")),
+    "intra-1b": ("1b", lambda: plan_layout(depth=13, counts=(2, 11), special="intra", base="mamba")),
+    "toy-llama": (None, lambda: uniform_layout(4, BlockSpec(kind="attn"))),
+    "toy-mamba": (None, lambda: uniform_layout(4, BlockSpec(kind="mamba"))),
+    "toy-swa": (None, lambda: plan_layout(depth=4, counts=(1, 3), special="attn", base="swa")),
+    "toy-inter": (None, lambda: plan_layout(depth=4, counts=(1, 3), special="attn", base="mamba")),
+    "toy-intra": (None, lambda: plan_layout(depth=4, counts=(1, 3), special="intra", base="mamba")),
+    "toy-intra-2l": (None, lambda: uniform_layout(2, BlockSpec(kind="intra"))),
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def preset(name: str) -> tuple[ModelConfig, LayoutSpec]:
     """Named (config, layout) pair.
 
@@ -164,49 +186,10 @@ def preset(name: str) -> tuple[ModelConfig, LayoutSpec]:
     hybrid + 11 ssm). Toy family: toy-llama / toy-mamba / toy-swa /
     toy-inter / toy-intra (depth 4) and toy-intra-2l (depth 2).
     """
-    if name.startswith("llama-"):
-        scale = name.removeprefix("llama-")
-        cfg = base_config(scale)
-        return cfg, uniform_layout(_SCALES[scale]["depth_attn"], BlockSpec(kind="attn"))
-    if name.startswith("mamba-"):
-        scale = name.removeprefix("mamba-")
-        cfg = base_config(scale)
-        return cfg, uniform_layout(_SCALES[scale]["depth_ssm"], BlockSpec(kind="mamba"))
-    if name == "swa-1b":
-        cfg = base_config("1b")
-        layout = plan_layout(
-            depth=_SCALES["1b"]["depth_attn"], counts=(3, 13),
-            special="attn", base="swa", positioning="scatter",
-        )
-        return cfg, layout
-    if name == "inter-1b":
-        cfg = base_config("1b")
-        return cfg, plan_layout(depth=13, counts=(2, 11), special="attn", base="mamba")
-    if name == "intra-1b":
-        cfg = base_config("1b")
-        return cfg, plan_layout(depth=13, counts=(2, 11), special="intra", base="mamba")
-
-    if name == "toy-llama":
-        return _toy_config(), uniform_layout(4, BlockSpec(kind="attn"))
-    if name == "toy-mamba":
-        return _toy_config(), uniform_layout(4, BlockSpec(kind="mamba"))
-    if name == "toy-swa":
-        return _toy_config(), plan_layout(depth=4, counts=(1, 3), special="attn", base="swa")
-    if name == "toy-inter":
-        return _toy_config(), plan_layout(depth=4, counts=(1, 3), special="attn", base="mamba")
-    if name == "toy-intra":
-        return _toy_config(), plan_layout(depth=4, counts=(1, 3), special="intra", base="mamba")
-    if name == "toy-intra-2l":
-        return _toy_config(), uniform_layout(2, BlockSpec(kind="intra"))
-    raise ContractError(f"unknown preset {name!r}")
-
-
-PRESET_NAMES = (
-    "llama-100m", "llama-350m", "llama-1b", "llama-3b",
-    "mamba-100m", "mamba-350m", "mamba-1b", "mamba-3b",
-    "swa-1b", "inter-1b", "intra-1b",
-    "toy-llama", "toy-mamba", "toy-swa", "toy-inter", "toy-intra", "toy-intra-2l",
-)
+    if name not in _PRESETS:
+        raise ContractError(f"unknown preset {name!r}")
+    scale, layout = _PRESETS[name]
+    return (_toy_config() if scale is None else base_config(scale)), layout()
 
 
 def with_vocab(cfg: ModelConfig, vocab: int) -> ModelConfig:

@@ -32,6 +32,7 @@ Every term is an integer below 2^53, so regrouping cannot change a bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .config import ModelConfig
@@ -63,13 +64,7 @@ def model_param_shapes(layout: LayoutSpec, cfg: ModelConfig) -> dict[str, tuple[
 
 
 def _total(shapes: dict[str, tuple[int, ...]]) -> int:
-    total = 0
-    for shape in shapes.values():
-        n = 1
-        for dim in shape:
-            n *= dim
-        total += n
-    return total
+    return sum(math.prod(shape) for shape in shapes.values())
 
 
 def block_params(spec: BlockSpec, cfg: ModelConfig) -> int:
@@ -99,13 +94,11 @@ def params_non_embedding(layout: LayoutSpec, cfg: ModelConfig) -> int:
 
 
 def activated_block_params(spec: BlockSpec, cfg: ModelConfig) -> int:
-    """Weights one token runs through: MoE counts router + shared + one routed."""
-    total = block_params(spec, cfg)
-    if spec.moe:
-        moe = cfg.moe_cfg()
-        idle_experts = moe.n_experts - 1
-        total -= idle_experts * 3 * cfg.d_model * moe.d_ffn_expert
-    return total
+    """Weights one token runs through: MoE counts router + shared + one routed,
+    expert 0 standing in for it, and drops the idle experts' entries."""
+    idle = tuple(f"moe.expert{e}." for e in range(1, cfg.moe_cfg().n_experts))
+    shapes = block_param_shapes(spec, cfg)
+    return _total({k: v for k, v in shapes.items() if not k.startswith(idle)})
 
 
 def activated_params_non_embedding(layout: LayoutSpec, cfg: ModelConfig) -> int:
@@ -258,7 +251,6 @@ def cost_report(
 # published 1B comparison: five layouts at 8192 context, 60e9 tokens
 GOLDEN_CONTEXT = 8192
 GOLDEN_TOKENS = 60e9
-GOLDEN_PRESETS = ("llama-1b", "mamba-1b", "swa-1b", "inter-1b", "intra-1b")
 GOLDEN_EXPECTED = {
     "llama-1b": {"train_flops": 4.5e20, "cache_mib": (256.0, 256.0)},
     "mamba-1b": {"train_flops": 3.7e20, "cache_mib": (13.3, 13.5)},
@@ -266,6 +258,7 @@ GOLDEN_EXPECTED = {
     "inter-1b": {"train_flops": 3.7e20, "cache_mib": (42.0, 44.0)},
     "intra-1b": {"train_flops": 3.7e20, "cache_mib": (36.0, 40.0)},
 }
+GOLDEN_PRESETS = tuple(GOLDEN_EXPECTED)
 GOLDEN_FLOPS_RTOL = 0.03
 
 

@@ -63,11 +63,15 @@ def _grown(buf: np.ndarray | None, filled: int, block: np.ndarray, slots: int) -
 class _KVRead:
     """`read` and the write checks of a KV cache with `k_buf`, `v_buf` and `entries`."""
 
+    def check_batch(self, batch: int) -> None:
+        """Refuse a block of another batch than the one held."""
+        if self.k_buf is not None and batch != self.k_buf.shape[0]:
+            raise ContractError(f"this KV cache holds batch {self.k_buf.shape[0]}, got {batch}")
+
     def _check_write(self, k: np.ndarray, positions: np.ndarray, next_pos: int) -> None:
         if positions[0] != next_pos:
             raise ContractError(f"this KV cache takes position {next_pos} next, got {positions[0]}")
-        if self.k_buf is not None and k.shape[0] != self.k_buf.shape[0]:
-            raise ContractError(f"this KV cache holds batch {self.k_buf.shape[0]}, got {k.shape[0]}")
+        self.check_batch(k.shape[0])
 
     def read(self) -> tuple[Tensor, Tensor]:
         """Views of the filled slots, valid until the next `extend`.

@@ -20,6 +20,7 @@ key=value overrides); parse and format round-trip losslessly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .attention import check_window
@@ -100,7 +101,7 @@ def scatter_indices(depth: int, k: int) -> tuple[int, ...]:
 def ratio_to_count(depth: int, special: float, base: float) -> int:
     """Round-half-up share of depth for the special kind."""
     if special < 0 or base < 0 or special + base == 0:
-        raise LayoutError(f"bad ratio {special}:{base}")
+        raise LayoutError(f"bad ratio {_format_ratio((special, base))}")
     return int(depth * special / (special + base) + 0.5)
 
 
@@ -160,7 +161,8 @@ def plan_layout(
         k = ratio_to_count(depth, s, m)
         if k == 0 and s > 0:
             raise LayoutError(
-                f"degenerate plan: ratio {s}:{m} rounds to zero {special!r} blocks at depth {depth}"
+                f"degenerate plan: ratio {_format_ratio(ratio)} rounds to zero {special!r} "
+                f"blocks at depth {depth}"
             )
 
     spec_s = special_spec if special_spec is not None else BlockSpec(kind=special)
@@ -216,11 +218,15 @@ def _format_ratio(ratio: tuple[float, float]) -> str:
     return f"{ratio[0]:g}:{ratio[1]:g}"
 
 
-def _parse_ratio(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
+def parse_ratio(text: str) -> tuple[float, float]:
+    """'1:5' -> (1.0, 5.0): a plan's special:base share or an intra dim_ratio."""
+    try:
+        a, b = (float(part) for part in text.split(":"))
+    except ValueError:
+        a = b = math.nan
+    if not (math.isfinite(a) and math.isfinite(b)):
         raise LayoutError(f"bad ratio {text!r}, expected a:b")
-    return (float(parts[0]), float(parts[1]))
+    return a, b
 
 
 def format_layout(layout: LayoutSpec) -> str:
@@ -267,7 +273,7 @@ def parse_layout(text: str) -> LayoutSpec:
             elif key == "sink":
                 kwargs["sink"] = int(value)
             elif key == "ratio":
-                kwargs["dim_ratio"] = _parse_ratio(value)
+                kwargs["dim_ratio"] = parse_ratio(value)
             elif key == "fusion":
                 fields = value.split(",")
                 if len(fields) != 4:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import tensor
 from .nn import param, proj_init, rms_norm, weight
-from .tensor import ContractError, DimensionError, Tensor, exp, matmul, silu, silu_mul, softplus
+from .tensor import ContractError, DimensionError, Tensor, _mm, exp, matmul, silu, silu_mul, softplus
 
 DT_INIT_RANGE = (0.001, 0.1)
 A_INIT_RANGE = (1.0, 16.0)
@@ -221,14 +221,6 @@ def _from_chunks(a: np.ndarray, perm: tuple, rows: int) -> np.ndarray:
     return a.reshape(a.shape[0], -1, *a.shape[3:])[:, :rows]
 
 
-def _mm(a: np.ndarray, b: np.ndarray, flip: bool) -> np.ndarray:
-    """The kernel's matmul; "flip-sign" negates its output, as for `tensor.matmul`."""
-    out = np.matmul(a, b)
-    if flip:
-        np.negative(out, out=out)
-    return out
-
-
 def ssm_scan(
     xs: Tensor,
     dt: Tensor,
@@ -266,7 +258,6 @@ def ssm_scan(
     rep = h // g
     chunk = min(chunk, l)
     slab = chunk * max(1, _SCAN_SLAB // chunk)
-    flip = tensor._chaos_mode == "flip-sign"
     inputs = (xs, dt, bm, cm, a_log, d_skip) + (() if h0 is None else (h0,))
     keep = tensor.default_tape().enabled and any(t.requires_grad for t in inputs)
 
@@ -297,15 +288,15 @@ def ssm_scan(
         lmat = s[..., :, None] - s[..., None, :]                 # exp(s_i - s_j) on j <= i, 1 above
         lmat *= lower
         np.exp(lmat, out=lmat)
-        scores = _mm(cc, bc.swapaxes(-1, -2), flip)              # (B, G, nc, C, C)
+        scores = _mm(cc, bc.swapaxes(-1, -2))                    # (B, G, nc, C, C)
         scores *= lower                                          # 0 above the diagonal, so w is too
         w = intra_map(lmat, dtc, scores)                         # (B, G, rep, nc, C, C)
-        y_c = _mm(w, xc, flip)
+        y_c = _mm(w, xc)
 
         to_end = np.exp(s[..., -1:] - s)                         # decay to the chunk end
         wend = to_end * dtc
         v = wend[..., None] * bc[:, :, None]                     # (B, G, rep, nc, C, N)
-        delta = _mm(xc.swapaxes(-1, -2), v, flip)                # (B, G, rep, nc, P, N)
+        delta = _mm(xc.swapaxes(-1, -2), v)                      # (B, G, rep, nc, P, N)
         a_end = np.exp(s[..., -1])
         entry_k = np.empty((delta.shape[3],) + state.shape)      # state entering each chunk
         for k in range(len(entry_k)):
@@ -313,7 +304,7 @@ def ssm_scan(
             state = a_end[..., k, None, None] * state + delta[:, :, :, k]
         entry = np.moveaxis(entry_k, 0, 3)                       # (B, G, rep, nc, P, N)
         es = np.exp(s)[..., None]
-        read = _mm(cc[:, :, None], entry.swapaxes(-1, -2), flip)
+        read = _mm(cc[:, :, None], entry.swapaxes(-1, -2))
         read *= es
         y_c += read
         y[:, start:stop] = _from_chunks(y_c, _X_PERM, stop - start).reshape(b, -1, h, p)
@@ -336,13 +327,13 @@ def ssm_scan(
             entry = np.moveaxis(entry_k, 0, 3)
             # readout: y += exp(s) * (C entry^T)
             g_read = gyc * es
-            g_ce = _mm(g_read, entry, flip)                      # (B, G, rep, nc, C, N)
+            g_ce = _mm(g_read, entry)                            # (B, G, rep, nc, C, N)
             g_s = np.einsum("bgrkcn,bgkcn->bgrkc", g_ce, cc)
             g_cc = g_ce.sum(axis=2)
-            g_entry = _mm(g_read.swapaxes(-1, -2), cc[:, :, None], flip)
+            g_entry = _mm(g_read.swapaxes(-1, -2), cc[:, :, None])
             # intra-chunk and skip: y = (w + D I) x, w = scores * exp(s_i - s_j) * dt_j
-            gx = _mm(w.swapaxes(-1, -2), gyc, flip)
-            g_w = _mm(gyc, xc.swapaxes(-1, -2), flip)
+            gx = _mm(w.swapaxes(-1, -2), gyc)
+            g_w = _mm(gyc, xc.swapaxes(-1, -2))
             g_d += np.einsum("bgrkii->gr", g_w)
             g_w *= lmat                                          # d/d(scores * dt_j)
             g_scores = np.einsum("bgrkij,bgrkj->bgkij", g_w, dtc)
@@ -352,8 +343,8 @@ def ssm_scan(
             # d/d s_i - d/d s_j of exp(s_i - s_j), with g_w * w summed over j and over i
             g_s += np.einsum("bgrkij,bgrkj->bgrki", g_w, dtc)
             g_s -= g_dt * dtc
-            g_cc += _mm(g_scores, bc, flip)
-            g_bc = _mm(g_scores.swapaxes(-1, -2), cc, flip)
+            g_cc += _mm(g_scores, bc)
+            g_bc = _mm(g_scores.swapaxes(-1, -2), cc)
             # recurrence in reverse: entry[k + 1] = a_end[k] * entry[k] + delta[k]
             g_delta = np.empty_like(entry_k)
             g_end = np.empty(a_end.shape[-1:] + a_end.shape[:-1])
@@ -365,8 +356,8 @@ def ssm_scan(
             g_end = np.moveaxis(g_end, 0, -1) * a_end            # d/d s at each chunk end
             g_delta = np.moveaxis(g_delta, 0, 3)
             # delta = x^T v, v = exp(s_end - s) * dt * B
-            gx += _mm(wend[..., None] * bc[:, :, None], g_delta.swapaxes(-1, -2), flip)
-            g_v = _mm(xc, g_delta, flip)                         # (B, G, rep, nc, C, N)
+            gx += _mm(wend[..., None] * bc[:, :, None], g_delta.swapaxes(-1, -2))
+            g_v = _mm(xc, g_delta)                               # (B, G, rep, nc, C, N)
             g_bc += np.einsum("bgrkcn,bgrkc->bgkcn", g_v, wend)
             g_wend = np.einsum("bgrkcn,bgkcn->bgrkc", g_v, bc)
             g_dt += g_wend * to_end

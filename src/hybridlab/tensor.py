@@ -41,8 +41,9 @@ and with ``center`` the per-head group norm), `rope_rotate` (the rotary
 embedding against full-width cos and sin tables; its backward rotates by
 -theta) and `silu_mul` (the SiLU gate silu(a) * b, byte-equal to the
 composed form). Kernels outside this module (the SSM's chunked scan and
-causal conv) record their one node through `_make` too, and honour
-`set_chaos` the same way.
+causal conv) record their one node through `_make` too. The scan, like
+`matmul` and `attention_core`, runs its products through `_mm`, the one
+place `set_chaos` acts.
 
 What the tape keeps: every node's output, and beside it only what the
 node's backward cannot rebuild from its inputs and output in one pass.
@@ -398,11 +399,6 @@ def exp(a) -> Tensor:
     return _make("exp", out, (a,), lambda g: (g * out,))
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    return _make("log", np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     out = np.sqrt(a.data)
@@ -474,15 +470,21 @@ def softplus(a) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The kernels' product: np.matmul, negated under "flip-sign" chaos."""
+    out = np.matmul(a, b)
+    if _chaos_mode == "flip-sign":
+        np.negative(out, out=out)
+    return out
+
+
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    out = np.matmul(a.data, b.data)
-    if _chaos_mode == "flip-sign":
-        out = -out
+    out = _mm(a.data, b.data)
 
     def bwd(g):
         ga = np.matmul(g, b.data.swapaxes(-1, -2))
@@ -765,7 +767,6 @@ def attention_core(q, k, v, mask: np.ndarray | None = None) -> Tensor:
     tiles = _attention_tiles(mask, lq, lk)
     g = h // h_kv
     scale = d_qk ** -0.5
-    flip = _chaos_mode == "flip-sign"
     keep = _tape.enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
 
     # (B, L, H_kv, G, d) splits of the row layouts, and (B, H_kv, Lk, d) views
@@ -787,18 +788,14 @@ def attention_core(q, k, v, mask: np.ndarray | None = None) -> Tensor:
     saved = []                  # (e, inv) per tile, kept for the backward
     for start, stop, kend, hidden in tiles:
         rows = stop - start
-        e = np.matmul(q_tile(start, stop), kh[:, :, :kend].swapaxes(-1, -2))
-        if flip:
-            np.negative(e, out=e)
+        e = _mm(q_tile(start, stop), kh[:, :, :kend].swapaxes(-1, -2))
         if hidden is not None:
             np.copyto(e.reshape(b, h_kv, g, rows, kend), -np.inf, where=hidden)
         e -= e.max(axis=-1, keepdims=True)
         np.exp(e, out=e)        # exp(-inf) underflows to exactly 0
         inv = e.sum(axis=-1, keepdims=True)
         np.reciprocal(inv, out=inv)
-        o = np.matmul(e, vh[:, :, :kend])
-        if flip:
-            np.negative(o, out=o)
+        o = _mm(e, vh[:, :, :kend])
         np.multiply(
             o.reshape(b, h_kv, g, rows, d_v), inv.reshape(b, h_kv, g, rows, 1),
             out=heads_first(out5, start, stop),

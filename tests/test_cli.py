@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 
 from hybridlab.cli import main
-from hybridlab.config import preset
+from hybridlab.config import PRESET_NAMES, preset
 from hybridlab.harness import TrainConfig
 from hybridlab.layout import load_layout
 from hybridlab.model import HybridModel
 from hybridlab.serialize import read_csv, read_niah_csv, save_model
-from hybridlab.verify import run_suites
+from hybridlab.verify import SUITES, run_suites
 
 
 # ---------------------------------------------------------------------------
@@ -20,15 +20,16 @@ from hybridlab.verify import run_suites
 # ---------------------------------------------------------------------------
 
 
-def test_plan_ratio_middle(tmp_path, capsys):
+@pytest.mark.parametrize("flags, placed", [
+    (["--depth", "13", "--ratio", "1:12", "--pos", "middle"], "MMMMMMAMMMMMM"),
+    (["--depth", "8", "--ratio", "3:5", "--kind", "intra", "--pos", "cluster"], "MMHHHMMM"),
+])
+def test_plan_ratio_writes_the_placed_layout(tmp_path, capsys, flags, placed):
     out = str(tmp_path / "layout.txt")
-    assert main(["plan", "--depth", "13", "--ratio", "1:12", "--pos", "middle",
-                 "--out", out]) == 0
+    assert main(["plan", *flags, "--out", out]) == 0
     text = capsys.readouterr().out
-    assert "layout (13 blocks)" in text
-    layout = load_layout(out)
-    kinds = [b.kind for b in layout.blocks]
-    assert kinds.count("attn") == 1 and kinds[6] == "attn"
+    assert f"layout ({len(placed)} blocks): {placed}" in text
+    assert load_layout(out).describe() == placed
 
 
 def test_plan_count_pair(capsys):
@@ -48,9 +49,12 @@ def test_plan_front_prints_lint_warning(capsys):
     assert "front placement degrades quality" in capsys.readouterr().out
 
 
-def test_plan_bad_count_is_an_error(capsys):
-    assert main(["plan", "--depth", "13", "--count", "2,11,3"]) == 1
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("flag, text", [("--count", "2,11,3"), ("--ratio", "1:x")])
+def test_plan_bad_count_or_ratio_is_an_error(capsys, flag, text):
+    assert main(["plan", "--depth", "13", flag, text]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and repr(text) in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -69,12 +73,17 @@ def test_cost_golden_flags_drift_off_reference_point(capsys):
     assert "drift" in capsys.readouterr().out.lower()
 
 
-def test_cost_preset_csv(tmp_path, capsys):
+@pytest.mark.parametrize("flags, n_rows, echoed", [
+    (["--preset", "inter-1b"], 1, ("preset", "inter-1b")),
+    (["--sweep"], 6, ("sweep", "True")),
+    (["--golden", "table2"], 5, ("golden", "table2")),
+])
+def test_cost_csv(tmp_path, capsys, flags, n_rows, echoed):
     out = str(tmp_path / "cost.csv")
-    assert main(["cost", "--preset", "inter-1b", "--csv", out]) == 0
+    assert main(["cost", *flags, "--csv", out]) == 0
     columns, rows, echo = read_csv(out)
-    assert echo["preset"] == "inter-1b"
-    assert len(rows) >= 1 and len(columns) >= 3
+    assert echo[echoed[0]] == echoed[1]
+    assert len(rows) == n_rows and len(columns) >= 3
 
 
 def test_cost_layout_file_missing_is_an_error(tmp_path, capsys):
@@ -85,6 +94,21 @@ def test_cost_layout_file_missing_is_an_error(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+
+
+def test_each_property_and_preset_is_listed_once():
+    for suite, props in SUITES.items():
+        names = [name for name, _ in props]
+        assert len(set(names)) == len(names), suite
+        assert len(run_suites([suite])) == len(props)
+    # the CLI's choices and the tests iterate this tuple; a key repeated in
+    # the preset table would overwrite its first entry without a word
+    assert PRESET_NAMES == (
+        "llama-100m", "llama-350m", "llama-1b", "llama-3b",
+        "mamba-100m", "mamba-350m", "mamba-1b", "mamba-3b",
+        "swa-1b", "inter-1b", "intra-1b",
+        "toy-llama", "toy-mamba", "toy-swa", "toy-inter", "toy-intra", "toy-intra-2l",
+    )
 
 
 def test_verify_all_suites_pass(capsys):
@@ -122,21 +146,22 @@ def test_readme_states_the_verify_check_count():
 # ---------------------------------------------------------------------------
 
 
-def _train_args(tmp_path, trace_name, extra=()):
-    return ["train", "--preset", "toy-intra-2l", "--task", "copy",
-            "--steps", "3", "--batch", "2", "--seed", "5",
+def _train_args(tmp_path, trace_name, extra=(), task="copy", steps=3):
+    return ["train", "--preset", "toy-intra-2l", "--task", task,
+            "--steps", str(steps), "--batch", "2", "--seed", "5",
             "--trace", str(tmp_path / trace_name), *extra]
 
 
-def test_train_writes_trace_and_checkpoint(tmp_path, capsys):
+@pytest.mark.parametrize("task, steps", [("copy", 3), ("needle", 2)])
+def test_train_writes_trace_and_checkpoint(tmp_path, capsys, task, steps):
     ckpt = str(tmp_path / "model.bin")
-    assert main(_train_args(tmp_path, "trace.csv", ["--out", ckpt])) == 0
+    assert main(_train_args(tmp_path, "trace.csv", ["--out", ckpt], task, steps)) == 0
     out = capsys.readouterr().out
-    assert "trained toy-intra-2l on copy" in out
+    assert f"trained toy-intra-2l on {task}" in out
     columns, rows, echo = read_csv(str(tmp_path / "trace.csv"))
     assert columns == ["step", "loss", "lr", "grad_norm"]
-    assert [r[0] for r in rows] == ["0", "1", "2"]
-    assert echo["task"] == "copy" and echo["seed"] == "5"
+    assert [r[0] for r in rows] == [str(i) for i in range(steps)]
+    assert echo["task"] == task and echo["seed"] == "5"
     assert (tmp_path / "model.bin").exists()
 
 
@@ -158,14 +183,14 @@ def test_train_takes_a_warmup_that_fits_beside_the_cooldown(tmp_path):
     assert main(_train_args(tmp_path, "t.csv", ["--warmup-frac", "0.5"])) == 0
 
 
-# a value unlike its default for every TrainConfig field but the seed
+# a value unlike its default for every TrainConfig field
 SETTINGS = {"steps": 3, "batch": 3, "lr": 2e-3, "warmup_frac": 0.3, "cooldown_frac": 0.1,
-            "weight_decay": 0.02, "clip_norm": 0.5}
+            "weight_decay": 0.02, "clip_norm": 0.5, "seed": 3}
 
 
 @pytest.mark.parametrize("source", ("flag", "ini"))
-def test_every_train_setting_but_the_seed_has_a_flag_and_an_ini_key(tmp_path, source):
-    assert set(SETTINGS) == {f.name for f in fields(TrainConfig)} - {"seed"}
+def test_every_train_setting_has_a_flag_and_an_ini_key(tmp_path, source):
+    assert set(SETTINGS) == {f.name for f in fields(TrainConfig)}
     if source == "flag":
         extra = [arg for k, v in SETTINGS.items() for arg in (f"--{k.replace('_', '-')}", str(v))]
     else:
@@ -190,6 +215,19 @@ def test_a_train_flag_wins_over_its_ini_key_and_the_config_fills_the_rest(tmp_pa
     assert float(echo["lr"]) == TrainConfig().lr
 
 
+def test_an_ini_seed_trains_as_the_seed_flag_does(tmp_path):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[train]\nseed = 3\n")
+    runs = {"ini": ["--config", str(ini)], "flag": ["--seed", "3"], "default": []}
+    for name, extra in runs.items():
+        assert main(["train", "--preset", "toy-llama", "--steps", "2", "--batch", "2",
+                     "--trace", str(tmp_path / f"{name}.csv"), *extra]) == 0
+    trace = {name: (tmp_path / f"{name}.csv").read_bytes() for name in runs}
+    assert trace["ini"] == trace["flag"]
+    losses = {name: [r[1] for r in read_csv(str(tmp_path / f"{name}.csv"))[1]] for name in runs}
+    assert losses["ini"] != losses["default"]
+
+
 def test_train_missing_config_is_an_error(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "absent.ini")]) == 1
     assert "not found" in capsys.readouterr().err
@@ -206,13 +244,14 @@ def test_eval_niah_grid_csv(tmp_path, capsys):
     assert grid.accuracy.shape == (2, 2)
 
 
-def test_eval_nll_stream_file(tmp_path, capsys):
+@pytest.mark.parametrize("source", ("file", "seeded"))
+def test_eval_nll_csv_from_a_stream_file_or_a_seeded_stream(tmp_path, capsys, source):
     stream = tmp_path / "stream.txt"
     stream.write_text("\n".join(str(i % 7) for i in range(40)) + "\n")
+    given = ["--stream", str(stream)] if source == "file" else ["--stream-len", "40"]
     out = str(tmp_path / "nll.csv")
-    assert main(["eval", "--task", "nll", "--preset", "toy-llama",
-                 "--stream", str(stream), "--bucket", "16",
-                 "--train-len", "16", "--out", out]) == 0
+    assert main(["eval", "--task", "nll", "--preset", "toy-llama", *given,
+                 "--bucket", "16", "--train-len", "16", "--out", out]) == 0
     columns, rows, _ = read_csv(out)
     assert columns == ["bucket_start", "mean_nll", "extrapolation"]
     assert [r[0] for r in rows] == ["0", "16", "32"]

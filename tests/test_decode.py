@@ -397,6 +397,31 @@ def test_a_decode_step_of_the_wrong_batch_is_refused_before_any_write(name, held
     np.testing.assert_array_equal(decode_step(model, state, step).data, decode_step(model, untouched, step).data)
 
 
+@pytest.mark.parametrize("name", ("toy-llama", "toy-swa", "toy-mamba", "toy-intra"))
+@pytest.mark.parametrize("held, given", [(1, 2), (2, 1)])
+def test_a_chunk_of_the_wrong_batch_is_refused_before_any_read_or_write(name, held, given):
+    cfg, layout = preset(name)
+    model = HybridModel(cfg, layout, seed=0)
+    prompt = named_rng(0, "wrong-batch").integers(0, cfg.vocab, size=(held, 12))
+    state, _ = prefill(model, prompt)
+    untouched, _ = prefill(model, prompt)
+
+    def filled():
+        kvs = [getattr(c, "kv", c) for c in state.caches]
+        return [(getattr(c, "count", None), getattr(c, "entries", None)) for c in kvs], state.cache_bytes()
+
+    before = filled()
+    # a rolling cache reads its held keys before it writes the chunk's
+    with pytest.raises(ContractError, match=f"holds batch {held}, got {given}"), no_grad():
+        model.forward(np.ones((given, 3), dtype=np.int64), state.caches, start=12)
+    assert filled() == before
+    chunk = np.ones((held, 3), dtype=np.int64)
+    with no_grad():
+        got = model.forward(chunk, state.caches, start=12).data
+        want = model.forward(chunk, untouched.caches, start=12).data
+    np.testing.assert_array_equal(got, want)
+
+
 def _transient_prefill_mib(name, length, batch=4):
     """tracemalloc peak of a prefill minus what it keeps (caches and logits)."""
     cfg, layout = preset(name)

@@ -14,6 +14,7 @@ from hybridlab.layout import (
     lint_layout,
     load_layout,
     parse_layout,
+    parse_ratio,
     plan_layout,
     save_layout,
     scatter_indices,
@@ -67,6 +68,7 @@ def test_reversing_a_scatter_plan_keeps_the_counts():
 
 @pytest.mark.parametrize("pos,k,warn", [
     ("front", 1, True), ("sandwich", 2, True), ("middle", 1, False), ("scatter", 2, False),
+    ("cluster", 3, False),
 ])
 def test_lint_flags_known_bad_placements(pos, k, warn):
     layout = plan_layout(depth=12, counts=(k, 12 - k), special="attn", base="mamba", positioning=pos)
@@ -104,13 +106,25 @@ def test_swa_blocks_carry_window_and_sink():
     assert layout.counts() == {"attn": 2, "swa": 4, "mamba": 0, "intra": 0}
 
 
-def test_format_parse_round_trip():
+@pytest.mark.parametrize("special_spec, base_spec", [
+    (BlockSpec("intra", fusion=FUSION_PRESETS["best"]), None),
+    (BlockSpec("intra", dim_ratio=(1.5, 2.0), moe=True), BlockSpec("mamba", moe=True)),
+])
+def test_format_parse_round_trip(special_spec, base_spec):
     layout = plan_layout(depth=5, counts=(2, 3), special="intra", base="mamba",
-                         special_spec=BlockSpec("intra", fusion=FUSION_PRESETS["best"]))
+                         special_spec=special_spec, base_spec=base_spec)
     text = format_layout(layout)
     assert text.splitlines()[0] == LAYOUT_HEADER
     again = parse_layout(text)
     assert again == layout
+
+
+@pytest.mark.parametrize("text", ["1", "1:x", "1:2:3", ":", "nan:1", "1:inf"])
+def test_a_malformed_ratio_is_a_layout_error(text):
+    with pytest.raises(LayoutError, match="bad ratio"):
+        parse_ratio(text)
+    with pytest.raises(LayoutError, match="bad ratio"):
+        parse_layout(f"{LAYOUT_HEADER}\nintra ratio={text}\n")
 
 
 def test_save_load_round_trip(tmp_path):
