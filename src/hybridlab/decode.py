@@ -22,7 +22,8 @@ Cache shapes per block:
 
 Each KV cache keeps its keys and its values in one preallocated
 (B, slots, n_kv, d) buffer; `prefill` reserves each full KV buffer for
-the whole prompt, and a decode step doubles it when it is full.
+the whole prompt (`generate` for the prompt and its new tokens), and a
+decode step doubles it when it is full.
 `extend` is the only write: a chunk writes its (B, L, ...) block in one
 slice assignment and a step writes one row, each at the cache's next
 position only. `read` returns views of the filled slots, valid until
@@ -245,11 +246,16 @@ def prefill(model: HybridModel, tokens: np.ndarray) -> tuple[DecodeState, Tensor
     prompt up front, so the chunk writes never regrow it; each chunk's
     logits go into one (B, L, V) array.
     """
+    return _prefill(model, tokens, 0)
+
+
+def _prefill(model: HybridModel, tokens: np.ndarray, n_new: int) -> tuple[DecodeState, Tensor]:
+    """`prefill`, with each full KV buffer reserved for the prompt and `n_new` more tokens."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2 or tokens.shape[1] < 1:
         raise ContractError(f"prefill wants (batch, seq >= 1) tokens, got {tokens.shape}")
     batch, length = tokens.shape
-    caches = [_fresh_cache(block, batch, length) for block in model.blocks]
+    caches = [_fresh_cache(block, batch, length + n_new) for block in model.blocks]
     logits = np.empty((batch, length, model.cfg.vocab))
     with no_grad():
         for start in range(0, length, _PREFILL_CHUNK):
@@ -290,10 +296,12 @@ def generate(
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, DecodeState]:
     """Prefill the prompt then decode n_new tokens. Returns (B, n_new) and
-    the state after them; with n_new 0, a (B, 0) array and the prefilled state."""
+    the state after them; with n_new 0, a (B, 0) array and the prefilled state.
+    Each full KV buffer is reserved for the prompt and the n_new tokens,
+    so no decode step regrows it."""
     if n_new < 0:
         raise ContractError(f"generate needs n_new >= 0, got {n_new}")
-    state, logits = prefill(model, prompt)
+    state, logits = _prefill(model, prompt, n_new)
     out = np.empty((logits.shape[0], n_new), dtype=np.int64)
     next_tok = sample_token(Tensor(logits.data[:, -1]), temperature, rng)
     for i in range(n_new):

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import tensor
 from .nn import param, proj_init, rms_norm, weight
-from .tensor import ContractError, DimensionError, Tensor, _mm, exp, matmul, silu, silu_mul, softplus
+from .tensor import ContractError, DimensionError, Tensor, _mm, exp, matmul, silu_mul, softplus
 
 DT_INIT_RANGE = (0.001, 0.1)
 A_INIT_RANGE = (1.0, 16.0)
@@ -102,15 +102,17 @@ def init_ssm_params(cfg: SsmConfig, rng: np.random.Generator | None, prefix: str
 
 
 def causal_conv(u: Tensor, weight: Tensor, bias: Tensor, history: Tensor | None = None) -> Tensor:
-    """Depthwise causal conv along axis 1 as one op: u (B, L, C), weight (C, K).
+    """Depthwise causal conv along axis 1, then SiLU, as one op: u (B, L, C), weight (C, K).
 
-    out[t] = sum over taps i of w[:, i] * u[t + i - (K - 1)] + bias. Rows
-    before u come from `history` (B, K - 1, C), the raw inputs just
-    before u; None means u starts the sequence and those terms vanish.
-    Each tap, in order, adds a shifted view of u and of the history into
-    the output, so a split sequence sums every row as the whole one does.
-    Nothing is padded or kept; the backward correlates the output
-    gradient with the same views.
+    a[t] = sum over taps i of w[:, i] * u[t + i - (K - 1)] + bias, and
+    the output is silu(a). Rows before u come from `history` (B, K - 1,
+    C), the raw inputs just before u; None means u starts the sequence
+    and those terms vanish. Each tap, in order, adds a shifted view of u
+    and of the history into a, so a split sequence sums every row as the
+    whole one does. Values and gradients are byte-equal to
+    ``silu(conv(...))``. Nothing is padded; the tape keeps a, the
+    backward rebuilds s = sigmoid(a) and correlates the gradient at a
+    with the same views.
     """
     channels, k = weight.shape
     if u.shape[-1] != channels:
@@ -119,20 +121,27 @@ def causal_conv(u: Tensor, weight: Tensor, bias: Tensor, history: Tensor | None 
     w = weight.data
     lags = [min(k - 1 - tap, seq) for tap in range(k)]           # output rows before u's first
     # tap 0 writes every row, from u and from the history or zeros before it
-    out = np.empty(u.shape)
-    np.multiply(u.data[:, : seq - lags[0]], w[:, 0], out=out[:, lags[0] :])
+    a = np.empty(u.shape)
+    np.multiply(u.data[:, : seq - lags[0]], w[:, 0], out=a[:, lags[0] :])
     if history is None:
-        out[:, : lags[0]] = 0.0
+        a[:, : lags[0]] = 0.0
     else:
-        np.multiply(history.data[:, : lags[0]], w[:, 0], out=out[:, : lags[0]])
+        np.multiply(history.data[:, : lags[0]], w[:, 0], out=a[:, : lags[0]])
     for tap, lag in enumerate(lags[1:], 1):
         if lag < seq:
-            out[:, lag:] += u.data[:, : seq - lag] * w[:, tap]
+            a[:, lag:] += u.data[:, : seq - lag] * w[:, tap]
         if lag and history is not None:
-            out[:, :lag] += history.data[:, tap : tap + lag] * w[:, tap]
-    out += bias.data
+            a[:, :lag] += history.data[:, tap : tap + lag] * w[:, tap]
+    a += bias.data
 
-    def bwd(g):
+    def bwd(g_out):
+        # silu's gradient g * s * (1 + a * (1 - s)), in its product order
+        s = tensor._sigmoid(a)
+        g = g_out * s
+        np.subtract(1.0, s, out=s)
+        s *= a
+        s += 1.0
+        g *= s
         g_u = np.zeros(u.shape)
         g_w = np.zeros_like(w)
         g_h = None if history is None else np.zeros(history.shape)
@@ -146,7 +155,7 @@ def causal_conv(u: Tensor, weight: Tensor, bias: Tensor, history: Tensor | None 
         return g_u, g_w, g.sum(axis=(0, 1)), g_h
 
     inputs = (u, weight, bias) if history is None else (u, weight, bias, history)
-    return tensor._make("causal_conv", out, inputs, bwd)
+    return tensor._make("causal_conv", a * tensor._sigmoid(a), inputs, bwd)
 
 
 def ssm_featurize(
@@ -175,7 +184,7 @@ def ssm_featurize(
     proj = matmul(x, weights[f"{prefix}.in_proj"])       # (B, L, d_in_proj)
     raw = proj[:, :, d : 2 * d + 2 * gn]
     history = None if state is None else state.conv_buf
-    conved = silu(causal_conv(raw, weights[f"{prefix}.conv.weight"], weights[f"{prefix}.conv.bias"], history))
+    conved = causal_conv(raw, weights[f"{prefix}.conv.weight"], weights[f"{prefix}.conv.bias"], history)
     keep = cfg.n_conv - 1
     if state is not None and keep > 0:
         # a fresh array, so the ring does not pin the in_proj output

@@ -10,17 +10,21 @@ desk-scale clarity and exact reproducibility, not throughput:
   topological order, so ``backward`` is a single reverse sweep that
   touches each reachable node exactly once;
 * ``backward`` keeps ``.grad`` on leaves only (tensors no op produced,
-  such as parameters), and ``reset_tape`` cuts the recorded graph's links
-  so reference counting frees it at once;
+  such as parameters), and releases each node once it has applied it,
+  so a training step peaks at its forward tape, not at the tape plus
+  the sweep; a sweep that reaches a released node raises
+  ``ContractError``. ``reset_tape`` cuts the links of the nodes no sweep
+  reached, so reference counting frees them at once;
 * any op that computes values, and ``Tensor(...)`` on outside data, raises
   ``NonFiniteError`` at once on a non-finite value instead of letting NaNs
   propagate; the views ``reshape``, ``swapaxes`` and ``getitem`` skip the
   check, as they only pick entries that passed it. ``getitem`` returns
   numpy's result (a view for a basic index), and its gradient is an
   (index, values) pair that ``backward`` adds into one zero buffer per
-  source, with ``np.add.at`` for an advanced index that may repeat;
-  ``checked_view`` wraps data that ops already checked (a KV cache's
-  filled slots) with neither a scan nor a tape node;
+  source; an integer-array index that repeats a row sums that row's
+  values first with ``np.add.reduceat``. ``checked_view`` wraps data
+  that ops already checked (a KV cache's filled slots) with neither a
+  scan nor a tape node;
 * randomness comes only from counter-based generators keyed by an
   explicit 64-bit seed plus a stream name, so identical seeds give
   bit-identical results across runs and platforms.
@@ -41,21 +45,21 @@ and with ``center`` the per-head group norm), `rope_rotate` (the rotary
 embedding against full-width cos and sin tables; its backward rotates by
 -theta) and `silu_mul` (the SiLU gate silu(a) * b, byte-equal to the
 composed form). Kernels outside this module (the SSM's chunked scan and
-causal conv) record their one node through `_make` too. The scan, like
-`matmul` and `attention_core`, runs its products through `_mm`, the one
-place `set_chaos` acts.
+causal conv with its SiLU) record their one node through `_make` too.
+The scan, like `matmul` and `attention_core`, runs its products through
+`_mm`, the one place `set_chaos` acts.
 
-What the tape keeps: every node's output, and beside it only what the
-node's backward cannot rebuild from its inputs and output in one pass.
-A value one product or one copy away is recomputed in the backward,
-with the forward's own expression, so gradients stay byte-equal. Per
-fused op, beyond inputs and output:
+What the tape keeps, until the sweep applies the node: every node's
+output, and beside it only what the node's backward cannot rebuild from
+its inputs and output in one pass. A value one product or one copy away
+is recomputed in the backward, with the forward's own expression, so
+gradients stay byte-equal. Per fused op, beyond inputs and output:
 
 * `silu_mul`: s = sigmoid(a); silu(a) = a * s is rebuilt;
 * `normalize_lastdim`: the row scale r; the normalized input is rebuilt;
 * `rope_rotate`: nothing (its tables are arguments);
 * `attention_core`: one exp tile and its row inverses per query tile;
-* `ssm.causal_conv`: nothing;
+* `ssm.causal_conv`: the pre-activation a; s = sigmoid(a) is rebuilt;
 * `ssm.ssm_scan`, per 64-token slab: the chunked dt, B and C, the decay
   matrix exp(s_i - s_j), the masked scores C B^T, exp(s) and the decays
   to and at each chunk's end, the end weights exp(s_end - s) * dt and
@@ -170,7 +174,10 @@ class GradTape:
     def reset(self) -> None:
         """Forget the recorded ops and free their graph.
 
-        Cutting each node's links breaks the out <-> node cycle, so
+        `backward` already released every node it applied, so what is
+        left is what no sweep reached: a forward with no backward (an
+        eval under the tape, a step that diverged) or a branch off the
+        loss. Cutting each node's links breaks the out <-> node cycle, so
         reference counting frees every op output now, even while a caller
         still holds the last loss, instead of leaving it to the cyclic GC.
         """
@@ -555,20 +562,30 @@ def getitem(a, index) -> Tensor:
 
 
 def _scatter_add(acc: np.ndarray, index, values: np.ndarray) -> None:
-    """acc[index] += values; np.add.at where an advanced index may repeat an entry.
+    """acc[index] += values, where an advanced index may repeat an entry.
 
-    A 1-D integer index whose entries are distinct modulo the axis (a
-    permutation gather) adds in one fancy assignment; on distinct rows
-    that is exactly what np.add.at computes, at a tenth of its cost.
+    An integer array indexes axis 0 (a gather, an embedding lookup). One
+    stable sort groups the values of each row; distinct rows take one
+    fancy add, byte-equal to `np.add.at`, and a repeated row's values are
+    first summed by `np.add.reduceat`, which associates the sum
+    differently from `np.add.at`'s one-by-one adds (within rounding) at
+    a fraction of its cost. Any other advanced index goes through
+    `np.add.at`.
     """
     items = index if isinstance(index, tuple) else (index,)
     if all(i is None or i is Ellipsis or isinstance(i, (int, np.integer, slice)) for i in items):
         acc[index] += values
-    elif (
-        isinstance(index, np.ndarray) and index.ndim == 1 and index.dtype.kind in "iu"
-        and np.bincount(index % acc.shape[0], minlength=1).max() == 1
-    ):
-        acc[index] += values
+    elif isinstance(index, np.ndarray) and index.dtype.kind in "iu":
+        rows = index.reshape(-1) % acc.shape[0]
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        repeat = rows[1:] == rows[:-1]
+        if not repeat.any():
+            acc[index] += values
+        else:
+            first = np.flatnonzero(np.r_[True, ~repeat])
+            runs = values.reshape((rows.size,) + acc.shape[1:])[order]
+            acc[rows[first]] += np.add.reduceat(runs, first, axis=0)
     else:
         np.add.at(acc, index, values)
 
@@ -888,6 +905,13 @@ def embedding_lookup(weight, ids: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _consumed(t: Tensor) -> ContractError:
+    return ContractError(
+        f"backward reached the output of a {t.node.op!r} node whose graph was already consumed "
+        "by an earlier backward or reset_tape; run the forward again"
+    )
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate dLoss/dT into `.grad` of every reachable leaf tensor.
 
@@ -896,7 +920,14 @@ def backward(loss: Tensor) -> None:
     node is skipped, since its output never receives a gradient. Only
     leaves (tensors with no tape node, such as parameters) keep a
     `.grad`; an intermediate gradient is dropped as soon as the sweep
-    has passed its node. `reset_tape` then frees the graph itself.
+    has passed its node. So is the node itself: once applied, it leaves
+    the tape and drops its output, inputs and backward closure, so each
+    buffer it kept is freed as the sweep passes, and a training step
+    peaks at its forward tape. A node the sweep never reaches stays on
+    the tape until `reset_tape`. The sweep consumes the graph: reaching
+    a released node again, by a second `backward` of the same loss or
+    through a tensor of a consumed graph that a new graph used, raises
+    `ContractError`.
     """
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -904,20 +935,28 @@ def backward(loss: Tensor) -> None:
         if loss.requires_grad:
             loss.grad = np.ones_like(loss.data)
         return
+    if loss.node.out is None:
+        raise _consumed(loss)
 
+    nodes = _tape.nodes
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     # Keys whose sum this sweep allocated. Only those are added into in
     # place: a first contribution may be shared (add hands one array to
     # both inputs) or a view (reshape, swapaxes).
     owned: set[int] = set()
-    for node in reversed(_tape.nodes):
-        g_out = grads.pop(id(node.out), None)
+    for i in range(len(nodes) - 1, -1, -1):
+        node = nodes[i]
+        key = id(node.out)
+        g_out = grads.pop(key, None)
         if g_out is None:
             continue
+        owned.discard(key)          # the output may be freed below: its id must not name a later object
         input_grads = node.backward(g_out)
         for t, g in zip(node.inputs, input_grads):
             if g is None or not t.requires_grad:
                 continue
+            if t.node is not None and t.node.out is None:
+                raise _consumed(t)
             key = id(t)
             acc = t.grad if t.node is None else grads.get(key)
             if isinstance(g, tuple):                    # getitem's (index, values)
@@ -936,3 +975,6 @@ def backward(loss: Tensor) -> None:
                 t.grad = acc
             else:
                 grads[key] = acc
+        # the nodes after i that are still listed were never reached, so this shifts only those
+        del nodes[i]
+        node.out, node.inputs, node.backward = None, (), None

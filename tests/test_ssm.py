@@ -22,6 +22,7 @@ from hybridlab.tensor import (
     no_grad,
     reset_tape,
     set_chaos,
+    silu,
     softplus,
     tsum,
 )
@@ -179,6 +180,29 @@ def test_conv_history_continues_the_sequence(n_conv):
             before = np.concatenate([np.zeros((batch, n_conv - 1, channels)), u[:, :j]], axis=1)
             part = causal_conv(Tensor(u[:, j:]), weight, bias, history=Tensor(before[:, j:]))
             assert np.array_equal(part.data, full[:, j:]), j
+
+
+def test_conv_applies_silu_byte_equal_to_the_composed_form():
+    # a, the pre-activation, summed tap by tap as the op sums it; the op's
+    # value equals silu(a), and its bias gradient the sum of silu's gradient
+    rng = named_rng(0, "conv-silu")
+    batch, seq, channels, k = 2, 7, 5, 4
+    u, w, b = rng.normal(size=(batch, seq, channels)), rng.normal(size=(channels, k)), rng.normal(size=channels)
+    probe = rng.normal(size=u.shape)
+    a = np.zeros(u.shape)
+    for tap in range(k):
+        lag = k - 1 - tap
+        a[:, lag:] += u[:, : seq - lag] * w[:, tap]
+    a += b
+    pre = Tensor(a, requires_grad=True)
+    want = silu(pre)
+    backward(tsum(want * probe))
+    bias = Tensor(b, requires_grad=True)
+    got = causal_conv(Tensor(u), Tensor(w), bias)
+    backward(tsum(got * probe))
+    reset_tape()
+    assert got.data.tobytes() == want.data.tobytes()
+    assert bias.grad.tobytes() == pre.grad.sum(axis=(0, 1)).tobytes()
 
 
 def test_step_returns_a_new_state_and_leaves_its_input_alone():

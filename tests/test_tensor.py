@@ -143,7 +143,7 @@ def test_a_repeated_advanced_index_sums_its_gradient():
 
 def test_a_permutation_gather_adds_its_gradient_without_add_at(monkeypatch):
     # distinct rows (-1 is row 5) take one fancy add, byte-equal to np.add.at;
-    # rows that repeat modulo the axis (1 and -5) still go through np.add.at
+    # rows that repeat modulo the axis (1 and -5) are summed before their add
     rng = named_rng(0, "perm-gather")
     data, probe = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
     index = np.array([4, 0, -1, 2, 1, 3])
@@ -158,7 +158,30 @@ def test_a_permutation_gather_adds_its_gradient_without_add_at(monkeypatch):
     assert x.grad.tobytes() == want.tobytes()
     x = Tensor(data, requires_grad=True)
     backward(tsum(x[np.array([1, -5])]))
-    assert len(calls) == 1 and x.grad[1].tolist() == [2.0] * 3
+    assert not calls and x.grad[1].tolist() == [2.0] * 3
+
+
+def test_repeated_ids_sum_their_gradient_without_add_at(monkeypatch):
+    # an embedding lookup's 2-D ids repeat rows: one sort and np.add.reduceat
+    # sum each row's values, within rounding of np.add.at
+    rng = named_rng(0, "repeated-ids")
+    ids = rng.integers(0, 32, size=(16, 64))
+    probe = rng.normal(size=(16, 64, 8))
+    want = np.zeros((32, 8))
+    np.add.at(want, ids, probe)
+    calls = []
+    add_at = np.add.at
+    monkeypatch.setattr(np.add, "at", lambda *a: (calls.append(a[1]), add_at(*a)))
+    params = {"w": Tensor(rng.normal(size=(32, 8)), requires_grad=True)}
+    backward(tsum(embedding_lookup(params["w"], ids) * probe))
+    assert not calls
+    np.testing.assert_allclose(params["w"].grad, want, rtol=0, atol=1e-12)
+
+    def loss_fn():
+        rows = embedding_lookup(params["w"], ids)
+        return tsum(rows * rows * probe)
+
+    fd_grad_check(loss_fn, params, named_rng(1, "repeated-ids"), coords_per_tensor=12)
 
 
 GETITEM_INDEXES = {
@@ -306,6 +329,26 @@ def test_backward_leaves_an_independent_graph_on_the_tape_alone():
     np.testing.assert_array_equal(a.grad, e * b.data)
     np.testing.assert_array_equal(b.grad, e * a.data)
     assert c.grad is None and d.grad is None and loss2.grad is None
+    # loss1's nodes left the tape as the sweep applied them; loss2's stay
+    assert [n.op for n in default_tape().nodes] == ["mul", "exp", "mul", "sum"]
+    assert default_tape().nodes[-1].out is loss2
+    backward(loss2)
+    np.testing.assert_array_equal(d.grad, np.exp(c.data * d.data) * c.data * c.data)
+    assert not default_tape().nodes
+
+
+def test_a_consumed_graph_raises_when_a_sweep_reaches_it():
+    x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
+    hidden = exp(x * 0.5)
+    loss = tsum(hidden)
+    backward(loss)
+    with pytest.raises(ContractError, match="already consumed"):
+        backward(loss)
+    # a tensor kept from the consumed graph feeds a new one: its gradient
+    # has no node left to flow through, so the sweep refuses it
+    y = Tensor(np.array([0.3, 0.7, -1.5]), requires_grad=True)
+    with pytest.raises(ContractError, match="'exp'.*already consumed"):
+        backward(tsum(hidden * y))
     reset_tape()
 
 
