@@ -37,7 +37,6 @@ class ModelConfig:
     d_head_ssm: int
     d_state: int
     n_conv: int = 4
-    n_groups: int = 1
     window: int = 512
     sink: int = 64
     rope_base: float = 500000.0
@@ -65,7 +64,6 @@ class ModelConfig:
             d_head=self.d_head_ssm,
             d_state=self.d_state,
             n_conv=self.n_conv,
-            n_groups=self.n_groups,
         )
 
     def intra_cfg(self, spec: BlockSpec) -> IntraHybridConfig:
@@ -76,7 +74,6 @@ class ModelConfig:
             d_ssm=self.d_ssm,
             d_state=self.d_state,
             n_conv=self.n_conv,
-            n_groups=self.n_groups,
             dim_ratio=spec.dim_ratio if spec.dim_ratio is not None else (1.0, 1.0),
             rope_base=self.rope_base,
         )

@@ -22,7 +22,7 @@ working precision of the live process:
 
   attention  4 * d_head * n_kv * min(L, context)  (K and V)
   windowed   the same with context capped at window + sink
-  ssm        2 * (d_ssm * d_state + n_conv * (2 * n_groups * d_state + d_ssm))
+  ssm        2 * (d_ssm * d_state + n_conv * (2 * d_state + d_ssm))
 
 Each accounting sums a block's branches (`ModelConfig.block_branches`):
 attention over n_heads * (d_qk + d_v), or n_kv * (d_qk + d_v) cached,

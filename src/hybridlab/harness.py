@@ -33,6 +33,7 @@ from .tensor import (
     backward,
     cross_entropy_logits,
     named_rng,
+    no_grad,
     reset_tape,
 )
 
@@ -79,8 +80,9 @@ def masked_next_token_loss(
 
 
 def masked_accuracy(model: HybridModel, tokens: np.ndarray, mask: np.ndarray) -> float:
-    """Teacher-forced argmax accuracy on masked target positions."""
-    logits = model.forward(tokens)
+    """Teacher-forced argmax accuracy on masked target positions; records no tape."""
+    with no_grad():
+        logits = model.forward(tokens)
     pred = np.argmax(logits.data[:, :-1], axis=-1)
     hit = (pred == tokens[:, 1:]) * mask[:, 1:]
     return float(hit.sum() / mask[:, 1:].sum())
@@ -265,14 +267,16 @@ def positionwise_nll(
     """Mean next-token NLL per position bucket over one stream.
 
     Returns (bucket start, mean NLL, extrapolation flag) per bucket;
-    the flag marks buckets whose start lies at or beyond train_len.
+    the flag marks buckets whose start lies at or beyond train_len. The
+    forward records no tape.
     """
     stream = np.asarray(stream).reshape(-1)
     if bucket < 1:
         raise ContractError("bucket size must be >= 1")
     if stream.size < max(bucket, 2):
         raise ContractError("stream too short for one bucket")
-    logits = model.forward(stream.reshape(1, -1)).data[0]          # (S, V)
+    with no_grad():
+        logits = model.forward(stream.reshape(1, -1)).data[0]      # (S, V)
     targets = stream[1:]
     shifted = logits[:-1]
     shifted = shifted - shifted.max(axis=-1, keepdims=True)

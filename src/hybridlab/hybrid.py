@@ -104,7 +104,6 @@ class IntraHybridConfig:
     d_ssm: int
     d_state: int
     n_conv: int
-    n_groups: int = 1
     dim_ratio: tuple[float, float] = (1.0, 1.0)
     rope_base: float = 500000.0
 
@@ -158,7 +157,6 @@ class IntraHybridConfig:
             d_head=self.d_fuse,
             d_state=self.d_state,
             n_conv=self.n_conv,
-            n_groups=self.n_groups,
             gated_norm=False,
         )
 

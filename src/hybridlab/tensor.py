@@ -59,7 +59,8 @@ gradients stay byte-equal. Per fused op, beyond inputs and output:
 * `normalize_lastdim`: the row scale r; the normalized input is rebuilt;
 * `rope_rotate`: nothing (its tables are arguments);
 * `attention_core`: one exp tile and its row inverses per query tile;
-* `ssm.causal_conv`: the pre-activation a; s = sigmoid(a) is rebuilt;
+* `ssm.causal_conv`: the pre-activation a; s = sigmoid(a) and the
+  contiguous window of history and input are rebuilt, not kept;
 * `ssm.ssm_scan`, per 64-token slab: the chunked dt, B and C, the decay
   matrix exp(s_i - s_j), the masked scores C B^T, exp(s) and the decays
   to and at each chunk's end, the end weights exp(s_end - s) * dt and
@@ -78,8 +79,12 @@ any malloc parameter switches off glibc's sliding mmap threshold, and 5
 warm prefills (before the norms, rope and gate were fused) took 54.9K
 faults with the defaults, 157K / 114K with a 1 / 4 MiB pad, 135K with
 only ``M_TRIM_THRESHOLD`` at 64 MiB, 113K with only ``M_MMAP_THRESHOLD``
-at 32 MiB, 62 with a 16 MiB pad and 2 with 32 or 64 MiB. Where there is
-no glibc ``mallopt`` the call is skipped.
+at 32 MiB, 62 with a 16 MiB pad and 2 with 32 or 64 MiB. The trim
+threshold is left at glibc's: a process that trains one preset at
+16 x 64 can still fault tens of thousands of pages per step when the
+freed heap top outgrows the pad, depending on its allocation pattern,
+while raising the threshold tripled the faults of a mixed training run.
+Where there is no glibc ``mallopt`` the call is skipped.
 """
 
 from __future__ import annotations

@@ -127,8 +127,8 @@ def test_chunked_scan_equals_step_fold_on_200_random_configs():
     rng = named_rng(0, "scan-accept")
     worst = 0.0
     for trial in range(200):
-        n_groups = int(rng.integers(1, 3))
-        n_heads = n_groups * int(rng.integers(1, 4))
+        head_mult = int(rng.integers(1, 3))
+        n_heads = head_mult * int(rng.integers(1, 4))
         d_head = int(rng.integers(1, 4))
         cfg = SsmConfig(
             d_model=int(rng.integers(2, 6)),
@@ -136,7 +136,6 @@ def test_chunked_scan_equals_step_fold_on_200_random_configs():
             d_head=d_head,
             d_state=int(rng.integers(1, 5)),
             n_conv=int(rng.integers(2, 5)),
-            n_groups=n_groups,
         )
         seq = 256 if trial % 40 == 0 else int(rng.integers(2, 33))
         chunk = int(rng.integers(1, seq + 1))

@@ -522,10 +522,10 @@ def test_a_toy_llama_decode_step_makes_at_most_80_ops(monkeypatch):
     assert len(ops) <= 80, sorted(ops)
 
 
-@pytest.mark.parametrize("name,most", [("toy-mamba", 116), ("toy-intra", 131)])
+@pytest.mark.parametrize("name,most", [("toy-mamba", 108), ("toy-intra", 121)])
 def test_an_ssm_decode_step_runs_the_scan_in_few_ops(monkeypatch, name, most):
-    # one in_proj matmul, one conv with its SiLU and one scan per SSM block:
-    # toy-mamba makes 112 ops and toy-intra 125
+    # one in_proj matmul, one conv with its SiLU, B and C as plain slices of
+    # it, and one scan per SSM block: toy-mamba makes 104 ops and toy-intra 117
     ops = _decode_step_ops(monkeypatch, name)
     assert len(ops) <= most, sorted(ops)
     assert "ssm_scan" in ops

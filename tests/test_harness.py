@@ -18,6 +18,7 @@ from hybridlab.harness import (
     gen_needle_batch,
     gen_needle_train_batch,
     load_token_file,
+    masked_accuracy,
     masked_next_token_loss,
     positionwise_nll,
     train_model,
@@ -248,6 +249,27 @@ def test_positionwise_nll_rejects_bad_bucket():
         positionwise_nll(model, np.arange(10), bucket=0)
 
 
+def test_eval_helpers_record_no_tape_and_match_a_recorded_forward():
+    cfg, layout = preset("toy-mamba")
+    model = HybridModel(with_vocab(cfg, 32), layout, seed=0)
+    tokens, mask = gen_copy_batch(named_rng(0, "eval-tape"), 8, 32, 64)
+    stream = tokens.reshape(-1)[:130]
+    reset_tape()
+    acc = masked_accuracy(model, tokens, mask)
+    rows = positionwise_nll(model, stream, bucket=32)
+    assert not default_tape().nodes
+    # the same forwards with the tape recording give the same values
+    logits = model.forward(tokens).data
+    stream_logits = model.forward(stream.reshape(1, -1)).data[0][:-1]
+    assert default_tape().nodes
+    reset_tape()
+    hit = (np.argmax(logits[:, :-1], axis=-1) == tokens[:, 1:]) * mask[:, 1:]
+    assert acc == float(hit.sum() / mask[:, 1:].sum())
+    shifted = stream_logits - stream_logits.max(axis=-1, keepdims=True)
+    nll = np.log(np.exp(shifted).sum(axis=-1)) - shifted[np.arange(stream.size - 1), stream[1:]]
+    assert [r[1] for r in rows] == [float(nll[s : s + 32].mean()) for s in range(0, nll.size, 32)]
+
+
 def test_load_token_file_ids_and_bytes(tmp_path):
     ids = tmp_path / "ids.txt"
     ids.write_text("5\n7\n\n11\n")
@@ -326,10 +348,11 @@ def _training_forward_tape(name, moe=False):
 
 
 def test_a_toy_mamba_training_forward_records_few_tape_nodes():
-    # one in_proj matmul and one conv, its SiLU inside, per block: 113 nodes
+    # one in_proj matmul and one conv, its SiLU inside, and B and C as plain
+    # slices of it, per block: 105 nodes
     _, nodes = _training_forward_tape("toy-mamba")
     reset_tape()
-    assert len(nodes) <= 114, len(nodes)
+    assert len(nodes) <= 106, len(nodes)
 
 
 @pytest.mark.parametrize("name,moe", [

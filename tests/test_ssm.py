@@ -27,7 +27,7 @@ from hybridlab.tensor import (
     tsum,
 )
 
-TINY = SsmConfig(d_model=6, d_ssm=8, d_head=4, d_state=4, n_conv=3, n_groups=1)
+TINY = SsmConfig(d_model=6, d_ssm=8, d_head=4, d_state=4, n_conv=3)
 
 
 def _fold(x, weights, cfg):
@@ -134,24 +134,6 @@ def test_gated_norm_toggle_changes_params_and_output():
     assert not np.allclose(a, b)
 
 
-def test_group_count_contract():
-    with pytest.raises(ContractError):
-        SsmConfig(d_model=6, d_ssm=12, d_head=4, d_state=4, n_conv=3, n_groups=2)
-    cfg = SsmConfig(d_model=6, d_ssm=16, d_head=4, d_state=4, n_conv=3, n_groups=2)
-    assert cfg.n_heads == 4
-
-
-def test_multi_group_scan_equals_fold():
-    cfg = SsmConfig(d_model=5, d_ssm=12, d_head=3, d_state=3, n_conv=2, n_groups=2)
-    rng = named_rng(0, "mg")
-    weights = init_ssm_params(cfg, rng)
-    x = rng.normal(size=(1, 9, 5))
-    with no_grad():
-        full = ssm_forward(Tensor(x), weights, cfg, chunk=4).data
-        fold, _ = _fold(x, weights, cfg)
-    assert np.abs(full - fold).max() < 1e-12
-
-
 def test_ssm_gradients():
     cfg = SsmConfig(d_model=4, d_ssm=4, d_head=2, d_state=3, n_conv=2)
     rng = named_rng(0, "ssmgrad")
@@ -240,13 +222,13 @@ def test_prefill_conv_ring_is_its_own_copy(seq):
 SCAN_INPUTS = ("xs", "dt", "bm", "cm", "A_log", "D", "h0")
 
 
-def _scan_inputs(seed, b, l, h, g, p, n):
-    rng = named_rng(seed, f"scan-inputs-{b}-{l}-{h}-{g}-{p}-{n}")
+def _scan_inputs(seed, b, l, h, p, n):
+    rng = named_rng(seed, f"scan-inputs-{b}-{l}-{h}-{p}-{n}")
     arrays = {
         "xs": rng.normal(size=(b, l, h, p)),
         "dt": rng.uniform(0.05, 0.6, size=(b, l, h)),
-        "bm": rng.normal(size=(b, l, g, n)),
-        "cm": rng.normal(size=(b, l, g, n)),
+        "bm": rng.normal(size=(b, l, n)),
+        "cm": rng.normal(size=(b, l, n)),
         "A_log": np.log(rng.uniform(0.5, 4.0, size=h)),
         "D": rng.normal(size=h),
         "h0": rng.normal(size=(b, h, p, n)),
@@ -283,23 +265,24 @@ def _fold_loss(t, weights, with_state):
     return loss + tsum(state * weights["state"]) if with_state else loss
 
 
-# (batch, seq, heads, groups, d_head, d_state, chunk): chunk 1, chunk >= seq,
-# a partial last chunk, two groups, and runs longer than one 64-token slab
+# (batch, seq, heads, d_head, d_state, chunk): chunk 1, chunk >= seq, a
+# partial last chunk, four heads on one B and C, and runs longer than one
+# 64-token slab
 SCAN_CASES = [
-    (2, 5, 2, 1, 3, 2, 1),
-    (1, 7, 2, 1, 2, 3, 16),
-    (2, 8, 2, 1, 2, 2, 3),
-    (1, 9, 4, 2, 2, 3, 4),
-    (1, 70, 2, 1, 2, 2, 8),
-    (1, 131, 4, 2, 1, 2, 5),
+    (2, 5, 2, 3, 2, 1),
+    (1, 7, 2, 2, 3, 16),
+    (2, 8, 2, 2, 2, 3),
+    (1, 9, 4, 2, 3, 4),
+    (1, 70, 2, 2, 2, 8),
+    (1, 131, 4, 1, 2, 5),
 ]
 
 
 @pytest.mark.parametrize("with_state", [False, True])
 @pytest.mark.parametrize("case", SCAN_CASES)
 def test_scan_gradients_match_finite_differences(case, with_state):
-    b, l, h, g, p, n, chunk = case
-    t, weights = _scan_inputs(0, b, l, h, g, p, n)
+    b, l, h, p, n, chunk = case
+    t, weights = _scan_inputs(0, b, l, h, p, n)
     params = {k: v for k, v in t.items() if with_state or k != "h0"}
     fd_grad_check(lambda: _scan_loss(t, weights, chunk, with_state), params,
                   named_rng(1, f"scan-fd-{case}"), coords_per_tensor=4)
@@ -308,8 +291,8 @@ def test_scan_gradients_match_finite_differences(case, with_state):
 @pytest.mark.parametrize("with_state", [False, True])
 @pytest.mark.parametrize("case", SCAN_CASES)
 def test_scan_gradients_equal_the_fold_on_the_tape(case, with_state):
-    b, l, h, g, p, n, chunk = case
-    t, weights = _scan_inputs(2, b, l, h, g, p, n)
+    b, l, h, p, n, chunk = case
+    t, weights = _scan_inputs(2, b, l, h, p, n)
     grads = []
     for loss_fn in (lambda: _scan_loss(t, weights, chunk, with_state),
                     lambda: _fold_loss(t, weights, with_state)):
@@ -327,7 +310,7 @@ def test_scan_gradients_equal_the_fold_on_the_tape(case, with_state):
 
 def test_scan_state_carries_an_exact_gradient_under_a_recording_tape():
     # the returned state is part of the scan's node: its gradient reaches every input
-    t, weights = _scan_inputs(3, 1, 6, 2, 1, 2, 2)
+    t, weights = _scan_inputs(3, 1, 6, 2, 2, 2)
     y, state = ssm_scan(t["xs"], t["dt"], t["bm"], t["cm"], t["A_log"], t["D"],
                         h0=t["h0"], chunk=4, return_state=True)
     assert y.requires_grad and state.requires_grad
@@ -340,7 +323,7 @@ def test_scan_state_carries_an_exact_gradient_under_a_recording_tape():
 
 def test_scan_masked_lanes_never_overflow():
     # decays this steep put exp(s_i - s_j) far above the float range above the diagonal
-    t, _ = _scan_inputs(5, 1, 40, 2, 1, 2, 2)
+    t, _ = _scan_inputs(5, 1, 40, 2, 2, 2)
     dt = Tensor(np.full((1, 40, 2), 30.0))
     a_log = Tensor(np.log(np.array([40.0, 60.0])))
     with no_grad(), np.errstate(over="raise"):
@@ -353,8 +336,8 @@ def test_scan_equals_the_fold_where_a_clamped_or_raw_decay_would_not(trap):
     # Negative steps make s rise inside a chunk, so s_i - s_j > 0 below the
     # diagonal and a min(., 0) clamp is wrong there; dt * A = 960 puts a raw
     # exp(s_i - s_j) above the diagonal far past the float range
-    b, l, h, g, p, n, chunk = 2, 12, 2, 1, 2, 3, 5
-    t, weights = _scan_inputs(7, b, l, h, g, p, n)
+    b, l, h, p, n, chunk = 2, 12, 2, 2, 3, 5
+    t, weights = _scan_inputs(7, b, l, h, p, n)
     if trap == "negative-and-zero-dt":
         dt = t["dt"].data * 0.1
         dt[:, ::3] = -0.05
@@ -375,7 +358,7 @@ def test_scan_equals_the_fold_where_a_clamped_or_raw_decay_would_not(trap):
 
 
 def test_flip_sign_reaches_the_fused_scan():
-    t, _ = _scan_inputs(6, 1, 10, 2, 1, 2, 3)
+    t, _ = _scan_inputs(6, 1, 10, 2, 2, 3)
     args = (t["xs"], t["dt"], t["bm"], t["cm"], t["A_log"], t["D"])
     with no_grad():
         fold = _fold_scan(t, t["h0"])[0].data
