@@ -81,11 +81,14 @@ def masked_next_token_loss(
 
 def masked_accuracy(model: HybridModel, tokens: np.ndarray, mask: np.ndarray) -> float:
     """Teacher-forced argmax accuracy on masked target positions; records no tape."""
+    counted = mask[:, 1:].sum()
+    if counted == 0:
+        raise ContractError("accuracy over zero positions")
     with no_grad():
         logits = model.forward(tokens)
     pred = np.argmax(logits.data[:, :-1], axis=-1)
     hit = (pred == tokens[:, 1:]) * mask[:, 1:]
-    return float(hit.sum() / mask[:, 1:].sum())
+    return float(hit.sum() / counted)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 `weight` draws one trainable tensor, or with no rng only names its
 shape, so each block's `init_*_params` is also its shape inventory.
+The gated FFN `siglu_ffn` is `tensor.siglu_ffn`, one fused op, imported
+here for the dense FFN and the MoE experts.
 
 Conventions used by every model in the package:
 
@@ -23,10 +25,9 @@ from .tensor import (
     ContractError,
     DimensionError,
     Tensor,
-    matmul,
     normalize_lastdim,
     rope_rotate,
-    silu_mul,
+    siglu_ffn,
 )
 
 NORM_EPS = 1e-5
@@ -82,11 +83,6 @@ def group_norm_per_head(x: Tensor, weight: Tensor) -> Tensor:
     if weight.shape != x.shape[-2:]:
         raise DimensionError(f"group norm weight {weight.shape} vs heads {x.shape[-2:]}")
     return normalize_lastdim(x, weight, NORM_EPS, center=True)
-
-
-def siglu_ffn(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
-    """down( silu(x @ gate) * (x @ up) ), the gate fused into one op."""
-    return matmul(silu_mul(matmul(x, w_gate), matmul(x, w_up)), w_down)
 
 
 def rope_angles(cfg: RopeConfig, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -43,10 +43,12 @@ reduced back to the operand shape. The other fused kernels each record
 one node with an analytic backward: `normalize_lastdim` (the RMS norm,
 and with ``center`` the per-head group norm), `rope_rotate` (the rotary
 embedding against full-width cos and sin tables; its backward rotates by
--theta) and `silu_mul` (the SiLU gate silu(a) * b, byte-equal to the
-composed form). Kernels outside this module (the SSM's chunked scan and
-causal conv with its SiLU) record their one node through `_make` too.
-The scan, like `matmul` and `attention_core`, runs its products through
+-theta), `silu_mul` (the SiLU gate silu(a) * b, byte-equal to the
+composed form) and `siglu_ffn` (the gated FFN: the gate and up products,
+the SiLU gate and the down product, byte-equal to those four ops).
+Kernels outside this module (the SSM's chunked scan and causal conv with
+its SiLU) record their one node through `_make` too. The scan, like
+`matmul`, `siglu_ffn` and `attention_core`, runs its products through
 `_mm`, the one place `set_chaos` acts.
 
 What the tape keeps, until the sweep applies the node: every node's
@@ -56,6 +58,8 @@ is recomputed in the backward, with the forward's own expression, so
 gradients stay byte-equal. Per fused op, beyond inputs and output:
 
 * `silu_mul`: s = sigmoid(a); silu(a) = a * s is rebuilt;
+* `siglu_ffn`: g = x @ w_gate, u = x @ w_up and s = sigmoid(g); the
+  gated product h = (g * s) * u, the down product's input, is rebuilt;
 * `normalize_lastdim`: the row scale r; the normalized input is rebuilt;
 * `rope_rotate`: nothing (its tables are arguments);
 * `attention_core`: one exp tile and its row inverses per query tile;
@@ -457,17 +461,18 @@ def silu_mul(a, b) -> Tensor:
     """
     a, b = as_tensor(a), as_tensor(b)
     s = _sigmoid(a.data)
+    return _make("silu_mul", (a.data * s) * b.data, (a, b), lambda g: _silu_mul_grads(a.data, b.data, s, g))
 
-    def bwd(g):
-        ga = _unbroadcast(g * b.data, a.shape)
-        ga *= s
-        d_act = 1.0 - s
-        d_act *= a.data
-        d_act += 1.0
-        ga *= d_act
-        return ga, _unbroadcast(g * (a.data * s), b.shape)     # silu(a) rebuilt
 
-    return _make("silu_mul", (a.data * s) * b.data, (a, b), bwd)
+def _silu_mul_grads(a: np.ndarray, b: np.ndarray, s: np.ndarray, g: np.ndarray) -> tuple:
+    """The gradients of silu(a) * b reaching g, given s = sigmoid(a)."""
+    ga = _unbroadcast(g * b, a.shape)
+    ga *= s
+    d_act = 1.0 - s
+    d_act *= a
+    d_act += 1.0
+    ga *= d_act
+    return ga, _unbroadcast(g * (a * s), b.shape)     # silu(a) rebuilt
 
 
 def softplus(a) -> Tensor:
@@ -496,14 +501,56 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    out = _mm(a.data, b.data)
+    return _make("matmul", _mm(a.data, b.data), (a, b), lambda g: _matmul_grads(a.data, b.data, g))
 
-    def bwd(g):
-        ga = np.matmul(g, b.data.swapaxes(-1, -2))
-        gb = np.matmul(a.data.swapaxes(-1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
 
-    return _make("matmul", out, (a, b), bwd)
+def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray) -> tuple:
+    """The gradients of a @ b reaching g, each reduced to its operand's shape."""
+    ga = np.matmul(g, b.swapaxes(-1, -2))
+    gb = np.matmul(a.swapaxes(-1, -2), g)
+    return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+
+
+def siglu_ffn(x, w_gate, w_up, w_down) -> Tensor:
+    """The gated FFN (silu(x @ w_gate) * (x @ w_up)) @ w_down as one op.
+
+    x is (..., d_in), w_gate and w_up (d_in, d_ffn), w_down (d_ffn,
+    d_out). The three products run through `_mm`, as `matmul`'s do, and
+    only the output is checked for non-finite values: a NaN or infinity
+    in g = x @ w_gate, u = x @ w_up or the gated product h = silu(g) * u
+    reaches it. The tape keeps g, u and s = sigmoid(g); the backward
+    rebuilds h with the forward's two products, then applies the backward
+    rules of the down `matmul`, `silu_mul` and the up and gate `matmul`s
+    in the order a tape of those four ops applies them, so values and
+    gradients are byte-equal to
+    ``matmul(silu_mul(matmul(x, w_gate), matmul(x, w_up)), w_down)``.
+    """
+    x, w_gate, w_up, w_down = (as_tensor(t) for t in (x, w_gate, w_up, w_down))
+    if (x.ndim < 2 or w_gate.ndim != 2 or w_up.shape != w_gate.shape or w_down.ndim != 2
+            or x.shape[-1] != w_gate.shape[0] or w_down.shape[0] != w_gate.shape[1]):
+        raise DimensionError(
+            f"siglu_ffn shapes disagree: x {x.shape}, gate {w_gate.shape}, up {w_up.shape}, down {w_down.shape}"
+        )
+    g = _mm(x.data, w_gate.data)
+    u = _mm(x.data, w_up.data)
+    s = _sigmoid(g)
+
+    def gated():
+        h = g * s
+        h *= u
+        return h
+
+    def bwd(grad):
+        gh, gw_down = _matmul_grads(gated(), w_down.data, grad)
+        gg, gu = _silu_mul_grads(g, u, s, gh)
+        del gh                          # each gradient goes once applied, as on the four-op tape
+        gx, gw_up = _matmul_grads(x.data, w_up.data, gu)
+        del gu
+        gx_gate, gw_gate = _matmul_grads(x.data, w_gate.data, gg)
+        gx += gx_gate
+        return gx, gw_gate, gw_up, gw_down
+
+    return _make("siglu_ffn", _mm(gated(), w_down.data), (x, w_gate, w_up, w_down), bwd)
 
 
 def _norm_axis(axis, ndim):

@@ -60,6 +60,7 @@ from .tensor import (
     named_rng,
     no_grad,
     reset_tape,
+    siglu_ffn,
     silu,
     silu_mul,
     softmax_lastdim,
@@ -159,7 +160,7 @@ def _rng_streams_differ():
     return (not np.allclose(a, b)) and np.array_equal(a, a2), "keyed streams"
 
 
-@_prop("tensor", "fused norm, rope and gate equal their composed reference")
+@_prop("tensor", "fused norm, rope, gate and FFN equal their composed reference")
 def _fused_ops_equal_composed():
     rope, pos = RopeConfig(head_dim=8, base=10000.0), np.arange(5) + 29
 
@@ -179,6 +180,10 @@ def _fused_ops_equal_composed():
         ("group_norm", group_norm_per_head, lambda x, w: norm(x, w, True), [(2, 5, 4, 8), (4, 8)]),
         ("rope", lambda x: apply_rope(x, rope, pos), rotate, [(2, 5, 4, 8)]),
         ("silu_mul", silu_mul, lambda a, b: silu(a) * b, [(2, 5, 8), (2, 5, 8)]),
+        (
+            "siglu_ffn", siglu_ffn, lambda x, g, u, d: matmul(silu_mul(matmul(x, g), matmul(x, u)), d),
+            [(2, 5, 8), (8, 12), (8, 12), (12, 8)],
+        ),
     ]
     rng = named_rng(7, "verify-fused")
     worst = {}

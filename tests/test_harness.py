@@ -26,7 +26,7 @@ from hybridlab.harness import (
 )
 from hybridlab.layout import LayoutSpec
 from hybridlab.model import HybridModel
-from hybridlab.tensor import ContractError, Tensor, backward, default_tape, named_rng, reset_tape
+from hybridlab.tensor import ContractError, NonFiniteError, Tensor, backward, default_tape, named_rng, reset_tape
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +249,19 @@ def test_positionwise_nll_rejects_bad_bucket():
         positionwise_nll(model, np.arange(10), bucket=0)
 
 
+def test_accuracy_over_no_target_position_raises_as_the_loss_does():
+    # only position 0 is marked, and it is never a target
+    model = _tiny_model()
+    tokens = named_rng(0, "no-target").integers(0, model.cfg.vocab, size=(2, 8))
+    mask = np.zeros(tokens.shape, dtype=bool)
+    mask[:, 0] = True
+    with pytest.raises(ContractError, match="zero positions"):
+        masked_next_token_loss(model, tokens, mask)
+    reset_tape()
+    with pytest.raises(ContractError, match="zero positions"):
+        masked_accuracy(model, tokens, mask)
+
+
 def test_eval_helpers_record_no_tape_and_match_a_recorded_forward():
     cfg, layout = preset("toy-mamba")
     model = HybridModel(with_vocab(cfg, 32), layout, seed=0)
@@ -349,10 +362,33 @@ def _training_forward_tape(name, moe=False):
 
 def test_a_toy_mamba_training_forward_records_few_tape_nodes():
     # one in_proj matmul and one conv, its SiLU inside, and B and C as plain
-    # slices of it, per block: 105 nodes
+    # slices of it, and one node for the whole FFN, per block: 93 nodes
     _, nodes = _training_forward_tape("toy-mamba")
     reset_tape()
-    assert len(nodes) <= 106, len(nodes)
+    assert len(nodes) <= 94, len(nodes)
+
+
+def test_an_inf_in_an_ffn_weight_names_the_fused_ffn():
+    cfg, layout = preset("toy-llama")
+    model = HybridModel(with_vocab(cfg, 32), layout, seed=0)
+    model.blocks[1].weights["ffn.up"].data[3, 5] = np.inf
+    tokens, mask = gen_copy_batch(named_rng(0, "inf-ffn"), 2, 32, 16)
+    try:
+        with pytest.raises(NonFiniteError, match="'siglu_ffn'"):
+            masked_next_token_loss(model, tokens, mask)
+    finally:
+        reset_tape()
+
+
+def test_every_moe_expert_is_one_fused_ffn_node():
+    # one node for the shared expert and for each routed expert with
+    # traffic, per block; the only silu_mul left is each SSM block's gate
+    model, nodes = _training_forward_tape("toy-inter", moe=True)
+    ops = [n.op for n in nodes]
+    reset_tape()
+    experts = sum(1 + int(np.count_nonzero(b.last_moe_load)) for b in model.blocks)
+    assert ops.count("siglu_ffn") == experts, (ops.count("siglu_ffn"), experts)
+    assert ops.count("silu_mul") == sum(b.kind == "mamba" for b in model.blocks)
 
 
 @pytest.mark.parametrize("name,moe", [
@@ -372,16 +408,18 @@ def test_no_training_forward_slices_a_weight(name, moe):
 # tape_kept_bytes of one copy-task training forward at 16 x 64, with each
 # bound 5% above it. The fused ops keep only what their backward cannot
 # rebuild in one pass; keeping any of silu_mul's activation, a norm's
-# normalized input, the conv's padded copy or its sigmoid, or the scan's
-# chunked x, w and v again crosses a bound (the figures with all of them:
-# 72,211,832 / 132,503,416 / 128,411,960 / 134,846,968 bytes; with only the
-# conv's SiLU as a node of its own: 95,106,936 / 93,653,304 / 104,047,096
-# for toy-mamba, toy-intra and toy-inter-moe)
+# normalized input, the conv's padded copy or its sigmoid, the scan's
+# chunked x, w and v, or the FFN's gated product again crosses a bound (the
+# figures with all but the last: 72,211,832 / 132,503,416 / 128,411,960 /
+# 134,846,968 bytes; with only the conv's SiLU as a node of its own:
+# 95,106,936 / 93,653,304 / 104,047,096 for toy-mamba, toy-intra and
+# toy-inter-moe; with the FFN as four ops that keep its gated product:
+# 61,201,784 / 89,864,056 / 88,934,712 / 100,114,936)
 @pytest.mark.parametrize("name,moe,bound", [
-    ("toy-llama", False, 64_250_000),         # 61,201,784 bytes
-    ("toy-mamba", False, 94_360_000),         # 89,864,056
-    ("toy-intra", False, 93_380_000),         # 88,934,712
-    ("toy-inter", True, 105_120_000),         # 100,114,936, MoE on every block
+    ("toy-llama", False, 57_660_000),         # 54,910,328 bytes
+    ("toy-mamba", False, 87_760_000),         # 83,572,600
+    ("toy-intra", False, 86_780_000),         # 82,643,256
+    ("toy-inter", True, 98_520_000),          # 93,823,480, MoE on every block
 ], ids=["toy-llama", "toy-mamba", "toy-intra", "toy-inter-moe"])
 def test_training_forward_tape_bytes_stay_bounded(name, moe, bound):
     _, nodes = _training_forward_tape(name, moe)
@@ -392,25 +430,27 @@ def test_training_forward_tape_bytes_stay_bounded(name, moe, bound):
 
 def test_fused_op_backwards_keep_only_their_inputs_output_and_row_scale():
     # beyond inputs and output, silu_mul keeps s = sigmoid(a), a norm its
-    # row scale r and the conv its pre-activation a, of the output's
-    # shape. toy-intra has every one of them
+    # row scale r, the conv its pre-activation a, of the output's shape,
+    # and the FFN its gate and up products g and u and s = sigmoid(g),
+    # each (..., d_ffn), not their gated product. toy-intra has every one
     _, nodes = _training_forward_tape("toy-intra")
-    extra_shape = {
-        "silu_mul": lambda node: node.inputs[0].shape,
-        "rms_norm": lambda node: node.inputs[0].shape[:-1] + (1,),
-        "group_norm": lambda node: node.inputs[0].shape[:-1] + (1,),
-        "causal_conv": lambda node: node.out.shape,
+    extra_shapes = {
+        "silu_mul": lambda node: [node.inputs[0].shape],
+        "rms_norm": lambda node: [node.inputs[0].shape[:-1] + (1,)],
+        "group_norm": lambda node: [node.inputs[0].shape[:-1] + (1,)],
+        "causal_conv": lambda node: [node.out.shape],
+        "siglu_ffn": lambda node: [node.inputs[0].shape[:-1] + node.inputs[1].shape[-1:]] * 3,
     }
     checked = set()
     for node in nodes:
-        if node.op not in extra_shape:
+        if node.op not in extra_shapes:
             continue
         own = _reached_arrays([node.out, *node.inputs])
         extra = [a for k, a in _reached_arrays([node.backward]).items() if k not in own]
-        assert [a.shape for a in extra] == [extra_shape[node.op](node)], node.op
+        assert [a.shape for a in extra] == extra_shapes[node.op](node), node.op
         checked.add(node.op)
     reset_tape()
-    assert checked == set(extra_shape), checked
+    assert checked == set(extra_shapes), checked
 
 
 @pytest.mark.parametrize("name,moe", [("toy-intra", False), ("toy-inter", True)],
@@ -426,11 +466,12 @@ def test_a_training_backward_releases_every_node_it_applies(name, moe):
 # above the step's start, with each bound 5% above it. The sweep frees each
 # node it has applied, so the step peaks at about its forward tape; with
 # the whole tape held through the sweep (and the conv's SiLU a node of its
-# own) it read 111,398,003 / 109,961,297 / 120,480,787 bytes
+# own) it read 111,398,003 / 109,961,297 / 120,480,787 bytes, and with the
+# FFN as four ops 92,943,672 / 92,057,504 / 96,145,861
 @pytest.mark.parametrize("name,moe,bound", [
-    ("toy-mamba", False, 97_590_000),         # 92,943,672 bytes
-    ("toy-intra", False, 96_660_000),         # 92,057,504
-    ("toy-inter", True, 100_950_000),         # 96,145,861, MoE on every block
+    ("toy-mamba", False, 91_510_000),         # 87,150,472 bytes
+    ("toy-intra", False, 90_580_000),         # 86,258,992
+    ("toy-inter", True, 95_510_000),          # 90,952,709, MoE on every block
 ], ids=["toy-mamba", "toy-intra", "toy-inter-moe"])
 def test_training_step_peak_stays_at_its_forward_tape(name, moe, bound):
     model, _ = _training_forward_tape(name, moe)        # a warm forward first

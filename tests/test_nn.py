@@ -24,6 +24,7 @@ from hybridlab.tensor import (
     backward,
     concat,
     default_tape,
+    matmul,
     named_rng,
     no_grad,
     reset_tape,
@@ -254,6 +255,11 @@ FUSED = {
         [(2, 5, 3, 8)],
     ),
     "silu_mul": (silu_mul, lambda a, b: silu(a) * b, [(2, 3, 7), (2, 3, 7)]),
+    "siglu_ffn": (
+        siglu_ffn,
+        lambda x, g, u, d: matmul(silu_mul(matmul(x, g), matmul(x, u)), d),
+        [(2, 3, 5), (5, 7), (5, 7), (7, 5)],
+    ),
 }
 
 
