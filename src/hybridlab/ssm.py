@@ -133,13 +133,7 @@ def causal_conv(u: Tensor, weight: Tensor, bias: Tensor, history: Tensor | None 
     a += bias.data
 
     def bwd(g_out):
-        # silu's gradient g * s * (1 + a * (1 - s)), in its product order
-        s = tensor._sigmoid(a)
-        g = g_out * s
-        np.subtract(1.0, s, out=s)
-        s *= a
-        s += 1.0
-        g *= s
+        g = tensor._silu_grad(g_out, a, tensor._sigmoid(a))
         win = window()
         g_win = np.zeros(win.shape)
         g_w = np.empty_like(w)
@@ -149,7 +143,9 @@ def causal_conv(u: Tensor, weight: Tensor, bias: Tensor, history: Tensor | None 
         # the fourth gradient is the history's; with no history, zip drops it
         return g_win[:, k - 1 :], g_w, g.sum(axis=(0, 1)), g_win[:, : k - 1]
 
-    return tensor._make("causal_conv", a * tensor._sigmoid(a), inputs, bwd)
+    out = tensor._sigmoid(a)
+    out *= a
+    return tensor._make("causal_conv", out, inputs, bwd)
 
 
 def ssm_featurize(

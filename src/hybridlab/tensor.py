@@ -53,13 +53,13 @@ its SiLU) record their one node through `_make` too. The scan, like
 
 What the tape keeps, until the sweep applies the node: every node's
 output, and beside it only what the node's backward cannot rebuild from
-its inputs and output in one pass. A value one product or one copy away
-is recomputed in the backward, with the forward's own expression, so
-gradients stay byte-equal. Per fused op, beyond inputs and output:
+its inputs and output in one pass. A value a product, copy or sigmoid
+away is recomputed in the backward, with the forward's own expression,
+so gradients stay byte-equal. Per fused op, beyond inputs and output:
 
-* `silu_mul`: s = sigmoid(a); silu(a) = a * s is rebuilt;
-* `siglu_ffn`: g = x @ w_gate, u = x @ w_up and s = sigmoid(g); the
-  gated product h = (g * s) * u, the down product's input, is rebuilt;
+* `silu_mul`: nothing; s = sigmoid(a) and silu(a) = a * s are rebuilt;
+* `siglu_ffn`: g = x @ w_gate and u = x @ w_up; s = sigmoid(g) and the
+  gated product h = (g * s) * u, the down product's input, are rebuilt;
 * `normalize_lastdim`: the row scale r; the normalized input is rebuilt;
 * `rope_rotate`: nothing (its tables are arguments);
 * `attention_core`: one exp tile and its row inverses per query tile;
@@ -427,17 +427,26 @@ def square(a) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; x >= 0 gives 1 / (1 + e^-x) and x < 0 gives
-    # e^x / (1 + e^x). One buffer plus the denominator; the numerator is
-    # e * 0 + 1 or e * 1 + 0, exact, and faster than a masked write
-    e = np.abs(x)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    den = 1.0 + e
-    e *= x < 0
-    e += x >= 0
-    e /= den
-    return e
+    # 1 / (1 + exp(-x)) in four passes on one buffer, an array even for 0-d
+    # x; exp(-x) = inf for x < -709 gives exactly 0, so overflow is ignored
+    # here and nowhere else, and a NaN still reaches the finiteness check
+    s = np.negative(x, out=np.empty_like(x))
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    np.divide(1.0, s, out=s)
+    return s
+
+
+def _silu_grad(g: np.ndarray, a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """g * s * (1 + a * (1 - s)), silu's gradient at a given s = sigmoid(a),
+    in the composed ops' product order; s is overwritten, g is not."""
+    gs = g * s
+    np.subtract(1.0, s, out=s)
+    s *= a
+    s += 1.0
+    gs *= s
+    return gs
 
 
 def sigmoid(a) -> Tensor:
@@ -448,31 +457,26 @@ def sigmoid(a) -> Tensor:
 
 def silu(a) -> Tensor:
     a = as_tensor(a)
-    s = _sigmoid(a.data)
-    return _make("silu", a.data * s, (a,), lambda g: (g * s * (1.0 + a.data * (1.0 - s)),))
+    return _make("silu", a.data * _sigmoid(a.data), (a,), lambda g: (_silu_grad(g, a.data, _sigmoid(a.data)),))
 
 
 def silu_mul(a, b) -> Tensor:
     """The SiLU gate silu(a) * b as one op.
 
     Values and both gradients are byte-equal to ``silu(a) * b``: the
-    same products are taken in the same order. The tape keeps
-    s = sigmoid(a); the backward rebuilds silu(a) = a * s.
+    same products are taken in the same order. The tape keeps nothing
+    beyond a, b and the output: the backward rebuilds s = sigmoid(a).
     """
     a, b = as_tensor(a), as_tensor(b)
-    s = _sigmoid(a.data)
-    return _make("silu_mul", (a.data * s) * b.data, (a, b), lambda g: _silu_mul_grads(a.data, b.data, s, g))
+    act = a.data * _sigmoid(a.data)
+    return _make("silu_mul", act * b.data, (a, b),
+                 lambda g: _silu_mul_grads(a.data, b.data, _sigmoid(a.data), g))
 
 
 def _silu_mul_grads(a: np.ndarray, b: np.ndarray, s: np.ndarray, g: np.ndarray) -> tuple:
-    """The gradients of silu(a) * b reaching g, given s = sigmoid(a)."""
-    ga = _unbroadcast(g * b, a.shape)
-    ga *= s
-    d_act = 1.0 - s
-    d_act *= a
-    d_act += 1.0
-    ga *= d_act
-    return ga, _unbroadcast(g * (a * s), b.shape)     # silu(a) rebuilt
+    """The gradients of silu(a) * b reaching g, given s = sigmoid(a), which is overwritten."""
+    gb = _unbroadcast(g * (a * s), b.shape)     # silu(a) rebuilt
+    return _silu_grad(_unbroadcast(g * b, a.shape), a, s), gb
 
 
 def softplus(a) -> Tensor:
@@ -518,11 +522,11 @@ def siglu_ffn(x, w_gate, w_up, w_down) -> Tensor:
     d_out). The three products run through `_mm`, as `matmul`'s do, and
     only the output is checked for non-finite values: a NaN or infinity
     in g = x @ w_gate, u = x @ w_up or the gated product h = silu(g) * u
-    reaches it. The tape keeps g, u and s = sigmoid(g); the backward
-    rebuilds h with the forward's two products, then applies the backward
-    rules of the down `matmul`, `silu_mul` and the up and gate `matmul`s
-    in the order a tape of those four ops applies them, so values and
-    gradients are byte-equal to
+    reaches it. The tape keeps g and u; the backward rebuilds
+    s = sigmoid(g) and h with the forward's two products, then applies
+    the backward rules of the down `matmul`, `silu_mul` and the up and
+    gate `matmul`s in the order a tape of those four ops applies them,
+    so values and gradients are byte-equal to
     ``matmul(silu_mul(matmul(x, w_gate), matmul(x, w_up)), w_down)``.
     """
     x, w_gate, w_up, w_down = (as_tensor(t) for t in (x, w_gate, w_up, w_down))
@@ -533,15 +537,15 @@ def siglu_ffn(x, w_gate, w_up, w_down) -> Tensor:
         )
     g = _mm(x.data, w_gate.data)
     u = _mm(x.data, w_up.data)
-    s = _sigmoid(g)
 
-    def gated():
+    def gated(s):
         h = g * s
         h *= u
         return h
 
     def bwd(grad):
-        gh, gw_down = _matmul_grads(gated(), w_down.data, grad)
+        s = _sigmoid(g)
+        gh, gw_down = _matmul_grads(gated(s), w_down.data, grad)
         gg, gu = _silu_mul_grads(g, u, s, gh)
         del gh                          # each gradient goes once applied, as on the four-op tape
         gx, gw_up = _matmul_grads(x.data, w_up.data, gu)
@@ -550,7 +554,7 @@ def siglu_ffn(x, w_gate, w_up, w_down) -> Tensor:
         gx += gx_gate
         return gx, gw_gate, gw_up, gw_down
 
-    return _make("siglu_ffn", _mm(gated(), w_down.data), (x, w_gate, w_up, w_down), bwd)
+    return _make("siglu_ffn", _mm(gated(_sigmoid(g)), w_down.data), (x, w_gate, w_up, w_down), bwd)
 
 
 def _norm_axis(axis, ndim):

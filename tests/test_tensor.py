@@ -9,6 +9,7 @@ from hybridlab.config import preset, with_vocab
 from hybridlab.harness import masked_next_token_loss
 from hybridlab.layout import LayoutSpec
 from hybridlab.model import HybridModel
+from hybridlab.ssm import causal_conv
 from hybridlab.tensor import (
     ContractError,
     DimensionError,
@@ -25,6 +26,7 @@ from hybridlab.tensor import (
     no_grad,
     reset_tape,
     set_chaos,
+    siglu_ffn,
     sigmoid,
     silu,
     silu_mul,
@@ -371,22 +373,15 @@ def test_reset_tape_leaves_no_cyclic_garbage(name):
         gc.enable()
 
 
-def _two_branch_sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def test_activations_match_the_two_branch_sigmoid_bytewise():
+def test_activations_match_one_over_one_plus_exp_bytewise():
     edges = [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 30.0, -30.0, 800.0, -800.0]
     x = np.concatenate([edges, named_rng(0, "sigmoid").normal(size=64) * 3.0])
-    # exp(-800) underflowing to 0 is the exact answer in both forms; any
-    # overflow, division by zero or invalid value still raises
+    # exp(-800) underflowing to 0 is exact, and so is 1 / (1 + exp(800)) = 0
+    # after exp overflows to inf; any other overflow, division by zero or
+    # invalid value still raises
     with np.errstate(all="raise", under="ignore"):
-        s = _two_branch_sigmoid(x)
+        with np.errstate(over="ignore"):
+            s = 1.0 / (1.0 + np.exp(-x))
         want = {
             sigmoid: (s, s * (1.0 - s)),
             silu: (x * s, s * (1.0 + x * (1.0 - s))),
@@ -410,6 +405,40 @@ def test_activations_match_the_two_branch_sigmoid_bytewise():
             runs.append((out.data.tobytes(), ta.grad.tobytes(), tb.grad.tobytes()))
             reset_tape()
         assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("op", [sigmoid, silu, softplus])
+def test_activations_on_a_0d_tensor_equal_their_1d_results(op):
+    results = []
+    for x in (Tensor(0.5, requires_grad=True), Tensor([0.5], requires_grad=True)):
+        out = op(x)
+        backward(tsum(out))
+        results.append((np.reshape(out.data, 1).tobytes(), np.reshape(x.grad, 1).tobytes()))
+        assert np.shape(x.grad) == x.shape
+        reset_tape()
+    assert results[0] == results[1]
+
+
+def test_overflow_is_ignored_only_inside_the_sigmoid():
+    # every op that takes a sigmoid, forward and backward, on pre-activations
+    # of +-800: exp(800) overflows inside `_sigmoid` alone
+    pre = np.array([800.0, -800.0, 0.5, -0.5])
+    eye = np.eye(4)[None]                                   # x @ w_gate = diag(pre)
+    w = named_rng(3, "sigmoid-ops").normal(size=(4, 4, 4))
+    ops = [
+        (sigmoid, [pre]),
+        (silu, [pre]),
+        (softplus, [pre]),
+        (silu_mul, [pre, w[0, 0]]),
+        (siglu_ffn, [eye, np.diag(pre), w[1], w[2]]),
+        (causal_conv, [np.zeros((1, 3, 4)), w[3], pre]),   # zero input: the bias is a
+    ]
+    with np.errstate(all="raise", under="ignore"):
+        for op, arrays in ops:
+            inputs = [Tensor(a, requires_grad=True) for a in arrays]
+            backward(tsum(op(*inputs)))
+            assert all(np.isfinite(t.grad).all() for t in inputs), op.__name__
+            reset_tape()
 
 
 def _out_of_place_backward(loss):
