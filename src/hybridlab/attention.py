@@ -11,12 +11,13 @@ a sequence into chunks computes what the whole sequence does.
 The softmax itself is `tensor.attention_core`, one fused op that takes
 q, k and v in the (B, L, heads, d) layout the projections produce, so no
 head transposes surround it, and walks the queries in 16-row tiles of
-whole rows; masked lanes get exactly-zero weight, and a tile scores no
-key past its last visible mask column. One set of rotary tables per call
-serves q and k. With a KV cache a chunk of any length attends over the
-cached keys, each rotated when it was written, and its own; a chunk that
-evicts nothing it still sees writes first and reads the cache's views
-uncopied, and the one-token step is that chunk with no mask.
+whole rows; masked lanes get exactly-zero weight, and a tile scores only
+the keys its rows see, the sink and one band when windowed. One set of
+rotary tables per call serves q and k. With a KV cache a chunk of any
+length attends over the cached keys, each rotated when it was written,
+and its own; a chunk that evicts nothing it still sees writes first and
+reads the cache's views uncopied, and the one-token step is that chunk
+with no mask.
 """
 
 from __future__ import annotations

@@ -35,15 +35,15 @@ the models need, and fused (optionally masked) softmax and cross-entropy
 kernels with analytic backward rules. The fused attention kernel
 (`attention_core`) takes q, k, v in the model's (B, L, heads, d) layout,
 with grouped KV heads and an optional mask, and records one node: it
-walks the queries in 16-row tiles, scores each tile only against keys up
-to its last visible column, normalizes after the PV product, and never
-holds the full (B, H, L, L) score matrix. Its tape keeps one exp tile
-and its row inverses per query tile. Gradients for broadcast operands are
-reduced back to the operand shape. The other fused kernels each record
-one node with an analytic backward: `normalize_lastdim` (the RMS norm,
-and with ``center`` the per-head group norm), `rope_rotate` (the rotary
-embedding against full-width cos and sin tables; its backward rotates by
--theta), `silu_mul` (the SiLU gate silu(a) * b, byte-equal to the
+walks the queries in 16-row tiles, scores each tile only against the keys
+its rows see (up to the last one under a causal mask; the sink and one
+band under a sliding window), normalizes after the PV product, and never
+holds the full (B, H, L, L) score matrix. Gradients for broadcast
+operands are reduced back to the operand shape. The other fused kernels
+each record one node with an analytic backward: `normalize_lastdim` (the
+RMS norm, and with ``center`` the per-head group norm), `rope_rotate`
+(the rotary embedding against full-width cos and sin tables; its
+backward rotates by -theta), `silu_mul` (the SiLU gate silu(a) * b, byte-equal to the
 composed form) and `siglu_ffn` (the gated FFN: the gate and up products,
 the SiLU gate and the down product, byte-equal to those four ops).
 Kernels outside this module (the SSM's chunked scan and causal conv with
@@ -55,14 +55,18 @@ What the tape keeps, until the sweep applies the node: every node's
 output, and beside it only what the node's backward cannot rebuild from
 its inputs and output in one pass. A value a product, copy or sigmoid
 away is recomputed in the backward, with the forward's own expression,
-so gradients stay byte-equal. Per fused op, beyond inputs and output:
+so gradients stay byte-equal; no fused op is exempt. Per fused op,
+beyond inputs and output:
 
 * `silu_mul`: nothing; s = sigmoid(a) and silu(a) = a * s are rebuilt;
-* `siglu_ffn`: g = x @ w_gate and u = x @ w_up; s = sigmoid(g) and the
-  gated product h = (g * s) * u, the down product's input, are rebuilt;
+* `siglu_ffn`: nothing; g = x @ w_gate, u = x @ w_up, s = sigmoid(g) and
+  the gated product h = (g * s) * u, the down product's input, are
+  rebuilt with the forward's products;
 * `normalize_lastdim`: the row scale r; the normalized input is rebuilt;
 * `rope_rotate`: nothing (its tables are arguments);
-* `attention_core`: one exp tile and its row inverses per query tile;
+* `attention_core`: per query tile, its row max m and row inverse inv,
+  two floats per row and head; the scores and e = exp(s - m) are rebuilt,
+  so the tape grows linearly in length, not quadratically;
 * `ssm.causal_conv`: the pre-activation a; s = sigmoid(a) and the
   contiguous window of history and input are rebuilt, not kept;
 * `ssm.ssm_scan`, per 64-token slab: the chunked dt, B and C, the decay
@@ -522,11 +526,12 @@ def siglu_ffn(x, w_gate, w_up, w_down) -> Tensor:
     d_out). The three products run through `_mm`, as `matmul`'s do, and
     only the output is checked for non-finite values: a NaN or infinity
     in g = x @ w_gate, u = x @ w_up or the gated product h = silu(g) * u
-    reaches it. The tape keeps g and u; the backward rebuilds
-    s = sigmoid(g) and h with the forward's two products, then applies
-    the backward rules of the down `matmul`, `silu_mul` and the up and
-    gate `matmul`s in the order a tape of those four ops applies them,
-    so values and gradients are byte-equal to
+    reaches it. The tape keeps nothing beyond x and the weights: the
+    backward rebuilds g and u with the forward's two products, then
+    s = sigmoid(g) and h, and applies the backward rules of the down
+    `matmul`, `silu_mul` and the up and gate `matmul`s in the order a
+    tape of those four ops applies them, so values and gradients are
+    byte-equal to
     ``matmul(silu_mul(matmul(x, w_gate), matmul(x, w_up)), w_down)``.
     """
     x, w_gate, w_up, w_down = (as_tensor(t) for t in (x, w_gate, w_up, w_down))
@@ -535,26 +540,29 @@ def siglu_ffn(x, w_gate, w_up, w_down) -> Tensor:
         raise DimensionError(
             f"siglu_ffn shapes disagree: x {x.shape}, gate {w_gate.shape}, up {w_up.shape}, down {w_down.shape}"
         )
-    g = _mm(x.data, w_gate.data)
-    u = _mm(x.data, w_up.data)
 
-    def gated(s):
+    def products():
+        return _mm(x.data, w_gate.data), _mm(x.data, w_up.data)
+
+    def gated(g, u, s):
         h = g * s
         h *= u
         return h
 
     def bwd(grad):
+        g, u = products()
         s = _sigmoid(g)
-        gh, gw_down = _matmul_grads(gated(s), w_down.data, grad)
+        gh, gw_down = _matmul_grads(gated(g, u, s), w_down.data, grad)
         gg, gu = _silu_mul_grads(g, u, s, gh)
-        del gh                          # each gradient goes once applied, as on the four-op tape
+        del gh, g, u, s                 # each array goes once used, as on the four-op tape
         gx, gw_up = _matmul_grads(x.data, w_up.data, gu)
         del gu
         gx_gate, gw_gate = _matmul_grads(x.data, w_gate.data, gg)
         gx += gx_gate
         return gx, gw_gate, gw_up, gw_down
 
-    return _make("siglu_ffn", _mm(gated(_sigmoid(g)), w_down.data), (x, w_gate, w_up, w_down), bwd)
+    g, u = products()
+    return _make("siglu_ffn", _mm(gated(g, u, _sigmoid(g)), w_down.data), (x, w_gate, w_up, w_down), bwd)
 
 
 def _norm_axis(axis, ndim):
@@ -779,29 +787,34 @@ _ATTN_TILE = 16
 
 
 def _attention_tiles(mask: np.ndarray | None, lq: int, lk: int) -> list[tuple]:
-    """(start, stop, key end, hidden lanes or None) per query tile.
+    """(start, stop, keys, hidden lanes or None) per query tile.
 
-    The mask is read once: each row's last visible key comes from one
-    argmax over the reversed mask, and a tile needs no masking when every
-    row sees all keys up to the tile's key end.
+    `keys` indexes the key columns that some row of the tile sees: a
+    slice when they are contiguous, as for a causal mask (one range from
+    key 0) or a window that reaches back to the sink, and otherwise an
+    integer array, such as the sink and one band of a windowed mask. The
+    mask is read once, in one reduction over each tile's rows, and a tile
+    needs no masking when every row sees all of its keys.
     """
     starts = np.arange(0, lq, _ATTN_TILE)
     stops = np.minimum(starts + _ATTN_TILE, lq)
     if mask is None:
-        return [(start, stop, lk, None) for start, stop in zip(starts.tolist(), stops.tolist())]
+        return [(start, stop, slice(0, lk), None) for start, stop in zip(starts.tolist(), stops.tolist())]
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (lq, lk):
         raise DimensionError(f"attention mask {mask.shape}, want {(lq, lk)}")
     count = np.count_nonzero(mask, axis=1)
     if not count.all():
         raise ContractError("attention mask row with no visible key")
-    last = lk - np.argmax(mask[:, ::-1], axis=1)        # one past each row's last visible key
-    kends = np.maximum.reduceat(last, starts)
-    dense = np.minimum.reduceat(count, starts) == kends
-    return [
-        (start, stop, kend, None if full else ~mask[start:stop, :kend])
-        for start, stop, kend, full in zip(starts.tolist(), stops.tolist(), kends.tolist(), dense.tolist())
-    ]
+    seen = np.logical_or.reduceat(mask, starts, axis=0)     # (tiles, Lk): keys some row sees
+    dense = np.minimum.reduceat(count, starts) == np.count_nonzero(seen, axis=1)
+    tiles = []
+    for start, stop, row, full in zip(starts.tolist(), stops.tolist(), seen, dense.tolist()):
+        cols = np.flatnonzero(row)
+        if cols[-1] - cols[0] == len(cols) - 1:
+            cols = slice(int(cols[0]), int(cols[-1]) + 1)
+        tiles.append((start, stop, cols, None if full else ~mask[start:stop, cols]))
+    return tiles
 
 
 def attention_core(q, k, v, mask: np.ndarray | None = None) -> Tensor:
@@ -817,14 +830,18 @@ def attention_core(q, k, v, mask: np.ndarray | None = None) -> Tensor:
 
     Queries are processed in tiles of `_ATTN_TILE` whole rows, a tile's
     group rows sharing one matmul per KV head. Each tile scores only the
-    keys up to its last visible mask column, so a causal mask skips the
-    upper triangle, and never more than one tile's scores exist at a
-    time; masked lanes get exactly-zero weight. The normalization comes
-    after the PV product: a tile keeps e = exp(s - rowmax) and
-    inv = 1 / rowsum(e), and its output is (e @ V) * inv. The tape keeps
-    e and inv per tile; the backward rebuilds the gathered q tile and
-    reads o from the output. With do' = do * inv:
-    dV = e^T do', dS = (do' V^T - rowsum(do' * o)) * e.
+    keys some row of it sees (`_attention_tiles`): a causal mask skips
+    the upper triangle, and a windowed one also the keys between the sink
+    and the band, which a tile gathers; never more than one tile's scores
+    exist at a time, and masked lanes get exactly-zero weight. The
+    normalization comes after the PV product: a tile takes its row max m,
+    e = exp(s - m) and inv = 1 / rowsum(e), and its output is
+    (e @ V) * inv. The tape keeps m and inv per tile, two
+    (B, H_kv, G * rows, 1) arrays; the backward rebuilds the gathered q
+    tile and e with the forward's own ops in the forward's order, so the
+    gradients are those of a kept e, and reads o from the output. With
+    do' = do * inv: dV = e^T do', dS = (do' V^T - rowsum(do' * o)) * e,
+    and dK and dV are added into the tile's own key columns.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.ndim != 4 or k.ndim != 4 or v.ndim != 4:
@@ -858,23 +875,29 @@ def attention_core(q, k, v, mask: np.ndarray | None = None) -> Tensor:
         np.multiply(heads_first(q5, start, stop), scale, out=t)
         return t.reshape(b, h_kv, -1, d_qk)
 
-    saved = []                  # (e, inv) per tile, kept for the backward
-    for start, stop, kend, hidden in tiles:
-        rows = stop - start
-        e = _mm(q_tile(start, stop), kh[:, :, :kend].swapaxes(-1, -2))
+    def scores(qt, keys, hidden):
+        """A tile's scores against its keys, -inf on its hidden lanes."""
+        s = _mm(qt, kh[:, :, keys].swapaxes(-1, -2))
         if hidden is not None:
-            np.copyto(e.reshape(b, h_kv, g, rows, kend), -np.inf, where=hidden)
-        e -= e.max(axis=-1, keepdims=True)
+            np.copyto(s.reshape(b, h_kv, g, *hidden.shape), -np.inf, where=hidden)
+        return s
+
+    saved = []                  # (m, inv) per tile, kept for the backward
+    for start, stop, keys, hidden in tiles:
+        rows = stop - start
+        e = scores(q_tile(start, stop), keys, hidden)
+        m = e.max(axis=-1, keepdims=True)
+        e -= m
         np.exp(e, out=e)        # exp(-inf) underflows to exactly 0
         inv = e.sum(axis=-1, keepdims=True)
         np.reciprocal(inv, out=inv)
-        o = _mm(e, vh[:, :, :kend])
+        o = _mm(e, vh[:, :, keys])
         np.multiply(
             o.reshape(b, h_kv, g, rows, d_v), inv.reshape(b, h_kv, g, rows, 1),
             out=heads_first(out5, start, stop),
         )
         if keep:
-            saved.append((e, inv))
+            saved.append((m, inv))
 
     def bwd(grad):
         g5 = grad.reshape(b, lq, h_kv, g, d_v)
@@ -885,21 +908,25 @@ def attention_core(q, k, v, mask: np.ndarray | None = None) -> Tensor:
         dv = np.zeros(v.shape)
         dq5 = dq.reshape(b, lq, h_kv, g, d_qk)
         dkh, dvh = dk.transpose(0, 2, 1, 3), dv.transpose(0, 2, 1, 3)
-        for (start, stop, kend, _hidden), (e, inv) in zip(tiles, saved):
+        for (start, stop, keys, hidden), (m, inv) in zip(tiles, saved):
             rows = stop - start
+            qt = q_tile(start, stop)
+            e = scores(qt, keys, hidden)
+            e -= m
+            np.exp(e, out=e)
             do = np.empty((b, h_kv, g, rows, d_v))
             np.multiply(heads_first(g5, start, stop), inv.reshape(b, h_kv, g, rows, 1), out=do)
             do = do.reshape(b, h_kv, g * rows, d_v)
             # e^T and dS^T contract over the group's rows, summing dK, dV over G
-            dvh[:, :, :kend] += np.matmul(e.swapaxes(-1, -2), do)
-            ds = np.matmul(do, vh[:, :, :kend].swapaxes(-1, -2))
+            dvh[:, :, keys] += np.matmul(e.swapaxes(-1, -2), do)
+            ds = np.matmul(do, vh[:, :, keys].swapaxes(-1, -2))
             ds -= dots[..., start:stop].reshape(b, h_kv, g * rows, 1) * inv
             ds *= e
             np.multiply(
-                np.matmul(ds, kh[:, :, :kend]).reshape(b, h_kv, g, rows, d_qk), scale,
+                np.matmul(ds, kh[:, :, keys]).reshape(b, h_kv, g, rows, d_qk), scale,
                 out=heads_first(dq5, start, stop),
             )
-            dkh[:, :, :kend] += np.matmul(ds.swapaxes(-1, -2), q_tile(start, stop))
+            dkh[:, :, keys] += np.matmul(ds.swapaxes(-1, -2), qt)
         return dq, dk, dv
 
     return _make("attention", out, (q, k, v), bwd)

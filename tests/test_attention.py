@@ -12,6 +12,8 @@ from hybridlab.attention import (
 )
 from hybridlab.nn import RopeConfig, apply_rope
 from hybridlab.tensor import (
+    _ATTN_TILE,
+    _attention_tiles,
     ContractError,
     NonFiniteError,
     Tensor,
@@ -161,15 +163,28 @@ def composed_attention(q, k, v, mask):
     return matmul(softmax_lastdim(scores, mask), v).swapaxes(1, 2)
 
 
-MASK_KINDS = ["causal", "swa", "swa-mid", "none"]
+MASK_KINDS = ["causal", "swa", "swa-mid", "swa-abut", "swa-overlap", "scattered", "none"]
+
+
+def scattered_mask(L):
+    """Each row sees a random ~30% of the keys, and at least one."""
+    rng = named_rng(L, "scattered-mask")
+    mask = rng.random((L, L)) < 0.3
+    mask[np.arange(L), rng.integers(0, L, L)] = True
+    return mask
 
 
 def make_mask(kind, L):
-    # swa-mid's 24-key window is a tile and a half, so its lower edge falls mid-tile
+    # swa-mid's 24-key window is a tile and a half, so its lower edge falls
+    # mid-tile; in swa-abut and swa-overlap the sink ends where the second
+    # tile's band starts, or past it; a scattered row sees many runs of keys
     return {
         "causal": causal_mask(L),
         "swa": swa_mask(L, 3, 2),
         "swa-mid": swa_mask(L, 24, 3),
+        "swa-abut": swa_mask(L, 8, 9),
+        "swa-overlap": swa_mask(L, 8, 10),
+        "scattered": scattered_mask(L),
         "none": None,
     }[kind]
 
@@ -278,3 +293,69 @@ def test_attention_core_rejects_non_finite_results():
         # scores overflow to inf and the softmax turns them into NaN
         with pytest.raises(NonFiniteError):
             attention_core(Tensor(q.data * 1e200), Tensor(k.data * 1e200), Tensor(k.data))
+
+
+# ---------------------------------------------------------------------------
+# band tiles: each tile scores only the keys some row of it sees
+# ---------------------------------------------------------------------------
+
+
+def tile_keys(mask):
+    """Per tile, the key columns it scores, as a sorted array."""
+    lq, lk = mask.shape
+    return [np.arange(lk)[keys] for _, _, keys, _ in _attention_tiles(mask, lq, lk)]
+
+
+@pytest.mark.parametrize("window,sink", [(8, 2), (8, 9), (8, 10), (8, 40), (24, 3), (1, 1), (1000, 5)])
+def test_tiles_score_exactly_the_keys_their_rows_see(window, sink):
+    # (8, 9): the sink ends where tile 1's band starts; (8, 10): they overlap;
+    # (24, 3): the window is wider than a tile, so tile 1's band starts at key 0
+    L = 70
+    mask = swa_mask(L, window, sink)
+    for (start, stop, keys, hidden), cols in zip(_attention_tiles(mask, L, L), tile_keys(mask)):
+        assert np.array_equal(cols, np.flatnonzero(mask[start:stop].any(axis=0)))
+        if isinstance(keys, slice):             # one contiguous range
+            assert cols[-1] - cols[0] == len(cols) - 1
+        want = ~mask[start:stop, cols]
+        assert (hidden is None and not want.any()) or np.array_equal(hidden, want)
+
+
+def test_band_tiles_are_one_range_where_sink_and_band_touch():
+    abut, overlap, wide = swa_mask(64, 8, 9), swa_mask(64, 8, 10), swa_mask(64, 24, 3)
+    # tile 1 (rows 16-31) sees keys 0-8 or 0-9 and its band from key 9
+    assert _attention_tiles(abut, 64, 64)[1][2] == slice(0, 32)
+    assert _attention_tiles(overlap, 64, 64)[1][2] == slice(0, 32)
+    assert _attention_tiles(wide, 64, 64)[1][2] == slice(0, 32)
+    # from tile 2 on, the band starts past the sink: two ranges
+    assert tile_keys(abut)[2].tolist() == [*range(9), *range(25, 48)]
+    assert tile_keys(wide)[3].tolist() == [0, 1, 2, *range(25, 64)]
+
+
+@pytest.mark.parametrize("window,sink", [(8, 2), (64, 16)])
+def test_no_swa_tile_scores_more_than_its_sink_window_and_rows(window, sink):
+    L = 1024
+    budget = sink + window + _ATTN_TILE - 1
+    assert max(len(cols) for cols in tile_keys(swa_mask(L, window, sink))) == budget
+    # causal tiles stay one range from key 0 to their last row
+    for start, stop, keys, _ in _attention_tiles(causal_mask(L), L, L):
+        assert keys == slice(0, stop)
+
+
+def test_no_query_and_one_key():
+    rng = named_rng(12, "edges")
+    q, k, v = make_qkv(rng, 1, group=2)
+    empty = Tensor(q.data[:, :0], requires_grad=True)
+    for mask in (None, np.zeros((0, 1), dtype=bool)):
+        reset_tape()
+        out = attention_core(empty, k, v, mask)
+        assert out.shape == (2, 0, 4, 4)
+        backward(out.sum())
+        assert empty.grad.shape == empty.shape and not k.grad.any()
+        empty.grad = k.grad = v.grad = None
+    # one key: every head returns its KV head's value row
+    reset_tape()
+    out = attention_core(q, k, v, np.ones((1, 1), dtype=bool))
+    assert np.allclose(out.data, np.repeat(v.data, 2, axis=2), rtol=0, atol=1e-15)
+    backward(out.sum())
+    assert np.abs(q.grad).max() <= 1e-15         # one weight of 1, whatever q is
+    reset_tape()

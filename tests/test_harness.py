@@ -348,13 +348,13 @@ def tape_kept_bytes(nodes) -> int:
     return sum(a.nbytes for a in kept.values())
 
 
-def _training_forward_tape(name, moe=False):
-    """(model, tape nodes) of one copy-task training forward at 16 x 64."""
+def _training_forward_tape(name, moe=False, batch=16, length=64):
+    """(model, tape nodes) of one copy-task training forward, 16 x 64 by default."""
     cfg, layout = preset(name)
     if moe:
         layout = LayoutSpec(tuple(replace(b, moe=True) for b in layout.blocks))
     model = HybridModel(with_vocab(cfg, 32), layout, seed=0)
-    tokens, mask = gen_copy_batch(named_rng(0, "tape"), 16, 32, 64)
+    tokens, mask = gen_copy_batch(named_rng(0, "tape"), batch, 32, length)
     reset_tape()
     masked_next_token_loss(model, tokens, mask)
     return model, list(default_tape().nodes)
@@ -416,12 +416,14 @@ def test_no_training_forward_slices_a_weight(name, moe):
 # toy-inter-moe; with the FFN as four ops that keep its gated product:
 # 61,201,784 / 89,864,056 / 88,934,712 / 100,114,936). So does keeping
 # s = sigmoid(a) beside the SSM gate and the FFN's gate, as `silu_mul` and
-# `siglu_ffn` did: 54,910,328 / 83,572,600 / 82,643,256 / 93,823,480
+# `siglu_ffn` did: 54,910,328 / 83,572,600 / 82,643,256 / 93,823,480; and
+# keeping the FFN's g and u, and each attention tile's exp tile instead of
+# its row max: 48,618,872 / 73,086,840 / 72,681,784 / 84,386,296
 @pytest.mark.parametrize("name,moe,bound", [
-    ("toy-llama", False, 51_050_000),         # 48,618,872 bytes
-    ("toy-mamba", False, 76_750_000),         # 73,086,840
-    ("toy-intra", False, 76_320_000),         # 72,681,784
-    ("toy-inter", True, 88_610_000),          # 84,386,296, MoE on every block
+    ("toy-llama", False, 27_100_000),         # 25,812,344 bytes
+    ("toy-mamba", False, 63_520_000),         # 60,503,928
+    ("toy-intra", False, 61_760_000),         # 58,820,920
+    ("toy-inter", True, 72_700_000),          # 69,247,480, MoE on every block
 ], ids=["toy-llama", "toy-mamba", "toy-intra", "toy-inter-moe"])
 def test_training_forward_tape_bytes_stay_bounded(name, moe, bound):
     _, nodes = _training_forward_tape(name, moe)
@@ -430,18 +432,48 @@ def test_training_forward_tape_bytes_stay_bounded(name, moe, bound):
     assert kept <= bound, kept
 
 
+def _tape_mib(name, length):
+    _, nodes = _training_forward_tape(name, batch=4, length=length)
+    kept = tape_kept_bytes(nodes)
+    reset_tape()
+    return kept / 2**20
+
+
+def test_attention_tapes_grow_linearly_in_length():
+    # 4 x 256 -> 4 x 1024. Attention keeps two floats per row and head, and a
+    # swa tile scores only its sink and band, so toy-llama and toy-swa grow
+    # about as the other ops do (25.5 -> 98.9 MiB, 3.9x; with each tile's exp
+    # tile kept, 9.35x), and toy-swa's long tape stays below toy-mamba's
+    # (97.5 against 224.6 MiB)
+    long = {name: _tape_mib(name, 1024) for name in ("toy-llama", "toy-swa", "toy-mamba")}
+    for name in ("toy-llama", "toy-swa"):
+        assert long[name] <= 4.5 * _tape_mib(name, 256), (name, long)
+    assert long["toy-swa"] < long["toy-mamba"], long
+
+
+def _attention_kept_shapes(node):
+    """Per 16-row causal tile, its row max m and inv, each (B, H_kv, G * 16, 1),
+    then each tile's boolean hidden lanes (16, keys up to its last row)."""
+    (b, l, h, _), h_kv = node.inputs[0].shape, node.inputs[1].shape[2]
+    tiles = range(16, l + 1, 16)
+    return [(b, h_kv, h // h_kv * 16, 1)] * 2 * len(tiles) + [(16, stop) for stop in tiles]
+
+
 def test_fused_op_backwards_keep_only_their_inputs_output_and_row_scale():
-    # beyond inputs and output, silu_mul keeps nothing, a norm its row
+    # beyond inputs and output, silu_mul and the FFN keep nothing (g, u,
+    # their sigmoid and the gated product are rebuilt), a norm its row
     # scale r, the conv its pre-activation a, of the output's shape, and
-    # the FFN its gate and up products g and u, each (..., d_ffn), not
-    # their sigmoid or gated product. toy-intra has every one
+    # attention its row max and row inverse per tile, not the tile's
+    # scores, and each masked tile's boolean hidden lanes. toy-intra has
+    # every one
     _, nodes = _training_forward_tape("toy-intra")
     extra_shapes = {
         "silu_mul": lambda node: [],
         "rms_norm": lambda node: [node.inputs[0].shape[:-1] + (1,)],
         "group_norm": lambda node: [node.inputs[0].shape[:-1] + (1,)],
         "causal_conv": lambda node: [node.out.shape],
-        "siglu_ffn": lambda node: [node.inputs[0].shape[:-1] + node.inputs[1].shape[-1:]] * 2,
+        "siglu_ffn": lambda node: [],
+        "attention": _attention_kept_shapes,
     }
     checked = set()
     for node in nodes:
@@ -469,13 +501,17 @@ def test_a_training_backward_releases_every_node_it_applies(name, moe):
 # node it has applied, so the step peaks at about its forward tape; with
 # the whole tape held through the sweep (and the conv's SiLU a node of its
 # own) it read 111,398,003 / 109,961,297 / 120,480,787 bytes, with the
-# FFN as four ops 92,943,672 / 92,057,504 / 96,145,861, and with s =
-# sigmoid kept beside each SiLU gate 87,150,472 / 86,258,992 / 90,952,709
+# FFN as four ops 92,943,672 / 92,057,504 / 96,145,861, with s =
+# sigmoid kept beside each SiLU gate 87,150,472 / 86,258,992 / 90,952,709,
+# and with the FFN's g and u and each attention tile's exp tile kept
+# 79,076,544 / 78,710,776 / 84,132,085 (toy-llama 54,251,500). toy-llama
+# bounds the temporaries of attention's rebuilt tiles
 @pytest.mark.parametrize("name,moe,bound", [
-    ("toy-mamba", False, 83_040_000),         # 79,076,544 bytes
-    ("toy-intra", False, 82_650_000),         # 78,710,776
-    ("toy-inter", True, 88_340_000),          # 84,132,085, MoE on every block
-], ids=["toy-mamba", "toy-intra", "toy-inter-moe"])
+    ("toy-llama", False, 36_320_000),         # 34,590,940 bytes
+    ("toy-mamba", False, 73_120_000),         # 69,638,256
+    ("toy-intra", False, 71_390_000),         # 67,995,476
+    ("toy-inter", True, 75_740_000),          # 72,135,525, MoE on every block
+], ids=["toy-llama", "toy-mamba", "toy-intra", "toy-inter-moe"])
 def test_training_step_peak_stays_at_its_forward_tape(name, moe, bound):
     model, _ = _training_forward_tape(name, moe)        # a warm forward first
     reset_tape()
